@@ -1,7 +1,7 @@
 // Quickstart: generate a dataset, bulk-load a Coconut-Tree, and run
 // approximate and exact nearest-neighbor queries.
 //
-//   $ ./example_quickstart
+//   $ ./build/quickstart
 //
 // The public API in a nutshell:
 //   1. Datasets are headerless float32 files (WriteDataset / RawSeriesFile).

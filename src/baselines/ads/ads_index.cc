@@ -1,16 +1,7 @@
 #include "src/baselines/ads/ads_index.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
-
 #include "src/common/timer.h"
-#include "src/core/knn.h"
 #include "src/core/sims_common.h"
-#include "src/series/distance.h"
-#include "src/summary/paa.h"
-#include "src/summary/sax.h"
 
 namespace coconut {
 
@@ -101,31 +92,26 @@ Status AdsIndex::ExactSearch(const Value* query, SearchResult* result,
   knn.Seed(approx);
 
   const SummaryOptions& sum = options_.summary;
-  std::vector<double> paa(sum.segments);
-  PaaTransform(query, sum.series_length, sum.segments, paa.data());
-
-  const uint64_t n = sax_array_.size() / sum.segments;
-  std::vector<double> mindists;
-  Isax2Options tmp;
-  tmp.num_threads = options_.num_threads;
-  ParallelMindists(paa.data(), sax_array_.data(), n, sum,
-                   tmp.EffectiveThreads(), &mindists);
+  QueryScratch scratch;
+  scratch.Prepare(sum.series_length, sum.segments);
+  PaaTransform(query, sum.series_length, sum.segments, scratch.paa.data());
 
   // Skip-sequential scan in raw-file order: the i-th summary corresponds to
   // the series at byte i * series_bytes.
-  const size_t series_len = sum.series_length;
-  const uint64_t series_bytes = series_len * sizeof(Value);
+  const uint64_t series_bytes = sum.series_length * sizeof(Value);
   uint64_t visited = 0;
-  fetch_buf_.resize(series_len);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (mindists[i] >= knn.bound_sq()) continue;
-    COCONUT_RETURN_IF_ERROR(
-        raw_file_->ReadAt(i * series_bytes, fetch_buf_.data()));
-    const double d = SquaredEuclideanEarlyAbandon(fetch_buf_.data(), query,
-                                                  series_len, knn.bound_sq());
-    ++visited;
-    knn.Offer(i * series_bytes, d);
-  }
+  COCONUT_RETURN_IF_ERROR(SimsRefine(
+      sax_array_.data(), sax_array_.size() / sum.segments, sum,
+      EffectiveThreads(options_.num_threads), &knn, &scratch, &visited,
+      [&](uint64_t i, double bound_sq, uint64_t* offset,
+          double* dist_sq) -> Status {
+        *offset = i * series_bytes;
+        COCONUT_RETURN_IF_ERROR(
+            raw_file_->ReadAt(*offset, scratch.fetch.data()));
+        *dist_sq = SquaredEuclideanEarlyAbandon(
+            scratch.fetch.data(), query, sum.series_length, bound_sq);
+        return Status::OK();
+      }));
 
   knn.Finalize(result);
   result->visited_records = approx.visited_records + visited;

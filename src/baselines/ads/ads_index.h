@@ -95,7 +95,6 @@ class AdsIndex {
   std::unique_ptr<RawSeriesFile> raw_file_;
   // SIMS state: SAX words of every series in raw-file order.
   std::vector<uint8_t> sax_array_;
-  std::vector<Value> fetch_buf_;
 };
 
 }  // namespace coconut

@@ -39,12 +39,6 @@ struct Isax2Options {
   size_t memory_budget_bytes = 256ull * 1024 * 1024;
   unsigned num_threads = 0;
 
-  unsigned EffectiveThreads() const {
-    CoconutOptions tmp;
-    tmp.num_threads = num_threads;
-    return tmp.EffectiveThreads();
-  }
-
   Status Validate() const {
     COCONUT_RETURN_IF_ERROR(summary.Validate());
     if (leaf_capacity == 0) {

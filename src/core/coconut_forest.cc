@@ -790,9 +790,9 @@ Status CoconutForest::ExactSearch(const Value* query, SearchResult* result,
 Status CoconutForest::ExactSearch(const Snapshot& snapshot,
                                   const Value* query, SearchResult* result,
                                   size_t k,
-                                  CoconutTree::QueryScratch* scratch) const {
+                                  QueryScratch* scratch) const {
   if (snapshot.num_entries() == 0) return Status::NotFound("empty forest");
-  CoconutTree::QueryScratch local_scratch;
+  QueryScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   const size_t n = options_.tree.summary.series_length;
   KnnCollector knn(k);
@@ -831,9 +831,9 @@ Status CoconutForest::ApproxSearch(const Value* query, size_t num_leaves,
 Status CoconutForest::ApproxSearch(const Snapshot& snapshot,
                                    const Value* query, size_t num_leaves,
                                    SearchResult* result, size_t k,
-                                   CoconutTree::QueryScratch* scratch) const {
+                                   QueryScratch* scratch) const {
   if (snapshot.num_entries() == 0) return Status::NotFound("empty forest");
-  CoconutTree::QueryScratch local_scratch;
+  QueryScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   const size_t n = options_.tree.summary.series_length;
   KnnCollector knn(k);

@@ -189,7 +189,7 @@ class CoconutForest {
                      size_t k = 1) const;
   Status ExactSearch(const Snapshot& snapshot, const Value* query,
                      SearchResult* result, size_t k = 1,
-                     CoconutTree::QueryScratch* scratch = nullptr) const;
+                     QueryScratch* scratch = nullptr) const;
 
   /// Approximate search: best k candidates across the memtable and the
   /// target leaf window of every run.
@@ -197,7 +197,7 @@ class CoconutForest {
                       SearchResult* result, size_t k = 1) const;
   Status ApproxSearch(const Snapshot& snapshot, const Value* query,
                       size_t num_leaves, SearchResult* result, size_t k = 1,
-                      CoconutTree::QueryScratch* scratch = nullptr) const;
+                      QueryScratch* scratch = nullptr) const;
 
   size_t num_runs() const;
   uint64_t num_entries() const;

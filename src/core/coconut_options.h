@@ -13,6 +13,13 @@
 
 namespace coconut {
 
+/// Resolves a `num_threads` option: 0 = hardware concurrency.
+inline unsigned EffectiveThreads(unsigned num_threads) {
+  if (num_threads > 0) return num_threads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 4;
+}
+
 struct CoconutOptions {
   SummaryOptions summary;
 
@@ -42,9 +49,7 @@ struct CoconutOptions {
   unsigned num_threads = 0;
 
   unsigned EffectiveThreads() const {
-    if (num_threads > 0) return num_threads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 4;
+    return coconut::EffectiveThreads(num_threads);
   }
 
   size_t EntriesPerLeaf() const {

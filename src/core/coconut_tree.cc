@@ -4,46 +4,21 @@
 #include "src/core/coconut_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <numeric>
 
 #include "src/common/crc32c.h"
 #include "src/common/env.h"
-#include "src/common/timer.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
-#include "src/core/knn.h"
-#include "src/core/sims_common.h"
-#include "src/io/buffered_io.h"
-#include "src/series/distance.h"
 #include "src/summary/invsax.h"
-#include "src/summary/mindist.h"
-#include "src/summary/paa.h"
-#include "src/summary/sax.h"
 
 namespace coconut {
 
 namespace {
 
-Counter* ChecksumVerifiedCounter() {
-  static Counter* c =
-      MetricRegistry::Default().GetCounter("io.checksum.verified");
-  return c;
-}
-
-Counter* ChecksumFailedCounter() {
-  static Counter* c =
-      MetricRegistry::Default().GetCounter("io.checksum.failed");
-  return c;
-}
-
-uint32_t DecodeCrc32LE(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
+const SimsSites kTreeSites = {"tree.route",       "tree.approx",
+                              "tree.refine",      "tree.approx.leaf",
+                              "tree.approx.fetch", "tree.exact.leaf",
+                              "tree.exact.fetch"};
 
 }  // namespace
 
@@ -55,56 +30,23 @@ Status CoconutTree::Open(const std::string& index_path,
   tree->raw_path_ = raw_path;
   COCONUT_RETURN_IF_ERROR(
       RandomAccessFile::Open(index_path, &tree->index_file_));
-  std::vector<uint8_t> sb(kSuperblockBytes);
+  TreeSuperblock& super = tree->super_;
   COCONUT_RETURN_IF_ERROR(
-      tree->index_file_->Read(0, kSuperblockBytes, sb.data()));
-  std::memcpy(&tree->super_, sb.data(), sizeof(TreeSuperblock));
-  COCONUT_RETURN_IF_ERROR(tree->super_.Check());
-  if (tree->super_.has_checksums()) {
-    TreeSuperblock clean = tree->super_;
-    clean.superblock_crc = 0;
-    if (crc32c::Value(&clean, sizeof(clean)) != tree->super_.superblock_crc) {
-      ChecksumFailedCounter()->Increment();
-      return Status::Corruption("tree superblock checksum mismatch: " +
-                                index_path);
-    }
-    ChecksumVerifiedCounter()->Increment();
-    // Load the integrity section: one CRC per leaf page, then the
-    // internal-region CRC (LoadInternalLevels below verifies against it).
-    const uint64_t n = tree->super_.num_leaves;
-    const uint64_t need = (n + 1) * 4;
-    if (tree->super_.integrity_offset < kSuperblockBytes ||
-        tree->super_.integrity_offset + need > tree->index_file_->size()) {
-      return Status::Corruption("tree integrity section out of range: " +
-                                index_path);
-    }
-    std::vector<uint8_t> crcs(need);
-    COCONUT_RETURN_IF_ERROR(tree->index_file_->Read(
-        tree->super_.integrity_offset, need, crcs.data()));
-    tree->leaf_crcs_.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      tree->leaf_crcs_[i] = DecodeCrc32LE(crcs.data() + i * 4);
-    }
-    tree->internal_crc_ = DecodeCrc32LE(crcs.data() + n * 4);
+      ReadSuperblock(tree->index_file_.get(), &super, &tree->options_));
+  if (super.has_checksums()) {
+    // One CRC per leaf page, then the internal-region CRC
+    // (LoadInternalLevels below verifies against it).
+    COCONUT_RETURN_IF_ERROR(ReadIntegritySection(
+        tree->index_file_.get(), super.integrity_offset, super.num_leaves,
+        &tree->leaf_crcs_, &tree->internal_crc_));
   }
-
-  tree->options_.summary.series_length = tree->super_.series_length;
-  tree->options_.summary.segments = tree->super_.segments;
-  tree->options_.summary.cardinality_bits =
-      static_cast<unsigned>(tree->super_.cardinality_bits);
-  tree->options_.leaf_capacity = tree->super_.leaf_capacity;
-  tree->options_.materialized = tree->super_.materialized != 0;
-  tree->options_.fill_factor =
-      static_cast<double>(tree->super_.entries_per_leaf) /
-      static_cast<double>(tree->super_.leaf_capacity);
+  tree->options_.fill_factor = static_cast<double>(super.entries_per_leaf) /
+                               static_cast<double>(super.leaf_capacity);
 
   COCONUT_RETURN_IF_ERROR(RawSeriesFile::Open(
       raw_path, tree->options_.summary.series_length, &tree->raw_file_));
-  // Best-effort eager open of the .sax sidecar: holding the descriptor
-  // lets snapshot readers lazy-load it even after compaction unlinks the
-  // file. A missing sidecar is tolerated here (approx-only indexes work
-  // without it); ExactSearch reports it when actually needed.
-  (void)RandomAccessFile::Open(index_path + ".sax", &tree->sidecar_file_);
+  tree->sidecar_.Open(index_path + ".sax", super.num_entries, super.segments,
+                      super.has_checksums() ? &super.sidecar_crc : nullptr);
   COCONUT_RETURN_IF_ERROR(tree->LoadInternalLevels());
   *out = std::move(tree);
   return Status::OK();
@@ -139,15 +81,8 @@ Status CoconutTree::LoadInternalLevels() {
       }
     }
   }
-  if (super_.has_checksums()) {
-    if (crc != internal_crc_) {
-      ChecksumFailedCounter()->Increment();
-      return Status::Corruption("tree internal-level checksum mismatch: " +
-                                index_path_);
-    }
-    ChecksumVerifiedCounter()->Increment();
-  }
-  return Status::OK();
+  if (!super_.has_checksums()) return Status::OK();
+  return VerifyCrc(crc, internal_crc_, "tree internal-level", index_path_);
 }
 
 uint64_t CoconutTree::LocateLeaf(const ZKey& key) const {
@@ -176,252 +111,47 @@ uint64_t CoconutTree::LocateLeaf(const ZKey& key) const {
   }
 }
 
-Status CoconutTree::ReadLeafPage(uint64_t leaf, std::vector<uint8_t>* page,
-                                 size_t* entry_count) const {
-  if (leaf >= super_.num_leaves) {
-    return Status::InvalidArgument("leaf index out of range");
-  }
-  page->resize(super_.leaf_page_bytes);
-  const uint64_t off = kSuperblockBytes + leaf * super_.leaf_page_bytes;
-  COCONUT_RETURN_IF_ERROR(
-      index_file_->Read(off, super_.leaf_page_bytes, page->data()));
-  if (super_.has_checksums()) {
-    // The page was read whole anyway; the CRC pass is cache-resident work.
-    if (crc32c::Value(page->data(), page->size()) != leaf_crcs_[leaf]) {
-      ChecksumFailedCounter()->Increment();
-      return Status::Corruption("leaf page checksum mismatch at leaf " +
-                                std::to_string(leaf) + ": " + index_path_);
-    }
-    ChecksumVerifiedCounter()->Increment();
-  }
+size_t CoconutTree::LeafEntries(uint64_t leaf) const {
   const uint64_t epl = super_.entries_per_leaf;
-  *entry_count = (leaf + 1 == super_.num_leaves)
-                     ? static_cast<size_t>(super_.num_entries - leaf * epl)
-                     : static_cast<size_t>(epl);
-  return Status::OK();
+  return (leaf + 1 == super_.num_leaves)
+             ? static_cast<size_t>(super_.num_entries - leaf * epl)
+             : static_cast<size_t>(epl);
 }
 
-Status CoconutTree::EntryDistanceSq(const uint8_t* entry, const Value* query,
-                                    double bound_sq, QueryScratch* scratch,
-                                    double* dist_sq) const {
-  const size_t n = options_.summary.series_length;
-  if (options_.materialized) {
-    *dist_sq =
-        SquaredEuclideanEarlyAbandon(LeafEntrySeries(entry), query, n,
-                                     bound_sq);
-    return Status::OK();
-  }
-  // scratch->fetch was sized by Prepare() in the calling search. Each
-  // entry is a raw-file read, so poll per fetch (the per-leaf poll in the
-  // caller is too coarse when every entry costs real I/O).
-  COCONUT_CHECK_CONTEXT(scratch->context, "tree.approx.fetch");
-  COCONUT_RETURN_IF_ERROR(
-      raw_file_->ReadAt(DecodeLeafEntryOffset(entry), scratch->fetch.data()));
-  *dist_sq = SquaredEuclideanEarlyAbandon(scratch->fetch.data(), query, n,
-                                          bound_sq);
-  return Status::OK();
-}
-
-Status CoconutTree::ApproxSearch(const Value* query, size_t num_leaves,
-                                 SearchResult* result, size_t k) const {
-  QueryScratch scratch;
-  return ApproxSearch(query, num_leaves, result, k, &scratch);
+SimsIndex CoconutTree::Sims() const {
+  return {&kTreeSites,           index_file_.get(),
+          raw_file_.get(),       &sidecar_,
+          &leaf_crcs_,           &options_.summary,
+          options_.materialized, options_.num_threads,
+          super_.entry_bytes,    super_.leaf_page_bytes,
+          super_.num_leaves,     super_.num_entries};
 }
 
 Status CoconutTree::ApproxSearch(const Value* query, size_t num_leaves,
                                  SearchResult* result, size_t k,
                                  QueryScratch* scratch) const {
-  if (num_leaves == 0) num_leaves = 1;
-  QueryTrace* const trace = scratch->trace;
-  Stopwatch stage;  // consulted only when tracing
-  TraceStages spans;
-  const SummaryOptions& sum = options_.summary;
-  scratch->Prepare(sum.series_length, sum.segments);
-  PaaTransform(query, sum.series_length, sum.segments, scratch->paa.data());
-  SaxFromPaa(scratch->paa.data(), sum, scratch->sax.data());
-  const ZKey key = InvSaxFromSax(scratch->sax.data(), sum);
-
-  const uint64_t target = LocateLeaf(key);
-  spans.Mark("tree.route", "query");
-  if (trace != nullptr) {
-    trace->route_ns += stage.ElapsedNanos();
-    stage.Restart();
-  }
-  // Window of `num_leaves` contiguous pages centered on the target (paper:
-  // "all data series in a specific radius from this specific point").
-  uint64_t lo = target > (num_leaves - 1) / 2 ? target - (num_leaves - 1) / 2
-                                              : 0;
-  uint64_t hi = std::min<uint64_t>(super_.num_leaves - 1,
-                                   lo + num_leaves - 1);
-  lo = (hi + 1 >= num_leaves) ? hi + 1 - num_leaves : 0;
-
-  KnnCollector knn(k);
-  uint64_t visited = 0;
-  std::vector<uint8_t>& page = scratch->page;
-  for (uint64_t lf = lo; lf <= hi; ++lf) {
-    COCONUT_CHECK_CONTEXT(scratch->context, "tree.approx.leaf");
-    size_t cnt;
-    COCONUT_RETURN_IF_ERROR(ReadLeafPage(lf, &page, &cnt));
-    for (size_t i = 0; i < cnt; ++i) {
-      const uint8_t* entry = page.data() + i * super_.entry_bytes;
-      double d;
-      COCONUT_RETURN_IF_ERROR(
-          EntryDistanceSq(entry, query, knn.bound_sq(), scratch, &d));
-      ++visited;
-      knn.Offer(DecodeLeafEntryOffset(entry), d);
-    }
-  }
-  knn.Finalize(result);
-  result->visited_records = visited;
-  result->leaves_read = hi - lo + 1;
-  spans.Mark("tree.approx", "query");
-  if (trace != nullptr) {
-    trace->approx_ns += stage.ElapsedNanos();
-    trace->leaves_visited += hi - lo + 1;
-    trace->records_fetched += visited;
-  }
-  return Status::OK();
-}
-
-Status CoconutTree::EnsureSimsLoaded() const {
-  // Load-once latch: the first exact query on this tree loads the sidecar;
-  // concurrent callers block on the mutex and find sims_loaded_ set. The
-  // arrays are immutable afterwards, so the steady state is a lock-free
-  // acquire-load.
-  if (sims_loaded_.load(std::memory_order_acquire)) return Status::OK();
-  MutexLock lock(&sims_mu_);
-  if (sims_loaded_.load(std::memory_order_relaxed)) return Status::OK();
-  if (sidecar_file_ == nullptr) {
-    // Open() tolerated a missing sidecar (approx-only usage); retry here
-    // so a later-restored file still works.
-    COCONUT_RETURN_IF_ERROR(
-        RandomAccessFile::Open(index_path_ + ".sax", &sidecar_file_));
-  }
-  const size_t w = options_.summary.segments;
-  const uint64_t n = super_.num_entries;
-  if (sidecar_file_->size() != n * (w + 8)) {
-    return Status::Corruption("sidecar size mismatch");
-  }
-  sims_sax_.resize(n * w);
-  sims_offsets_.resize(n);
-  // Read through the handle opened at Open() time: the file may already be
-  // unlinked (compaction), but the descriptor keeps its data reachable.
-  // Large chunks keep this O(N/B) block reads, not O(N) syscalls.
-  const size_t rec_bytes = w + 8;
-  const size_t chunk_recs =
-      std::max<size_t>(1, (4u << 20) / rec_bytes);  // ~4 MiB per read
-  std::vector<uint8_t> buf(chunk_recs * rec_bytes);
-  uint32_t crc = 0;
-  for (uint64_t base = 0; base < n; base += chunk_recs) {
-    const uint64_t m = std::min<uint64_t>(chunk_recs, n - base);
-    COCONUT_RETURN_IF_ERROR(
-        sidecar_file_->Read(base * rec_bytes, m * rec_bytes, buf.data()));
-    crc = crc32c::Extend(crc, buf.data(), m * rec_bytes);
-    for (uint64_t i = 0; i < m; ++i) {
-      const uint8_t* rec = buf.data() + i * rec_bytes;
-      std::memcpy(sims_sax_.data() + (base + i) * w, rec, w);
-      std::memcpy(&sims_offsets_[base + i], rec + w, 8);
-    }
-  }
-  if (super_.has_checksums()) {
-    if (crc != super_.sidecar_crc) {
-      ChecksumFailedCounter()->Increment();
-      sims_sax_.clear();
-      sims_offsets_.clear();
-      return Status::Corruption("sidecar checksum mismatch: " + index_path_ +
-                                ".sax");
-    }
-    ChecksumVerifiedCounter()->Increment();
-  }
-  sims_loaded_.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
-Status CoconutTree::ExactSearch(const Value* query, size_t approx_leaves,
-                                SearchResult* result, size_t k) const {
-  QueryScratch scratch;
-  return ExactSearch(query, approx_leaves, result, k, &scratch);
+  QueryScratch local;
+  return SimsApproxSearch(
+      Sims(), query, num_leaves, k, scratch != nullptr ? scratch : &local,
+      result, [this](const ZKey& key) { return LocateLeaf(key); },
+      [this](uint64_t leaf) { return LeafEntries(leaf); });
 }
 
 Status CoconutTree::ExactSearch(const Value* query, size_t approx_leaves,
                                 SearchResult* result, size_t k,
                                 QueryScratch* scratch) const {
-  // Lines 3-4 of Algorithm 5: load the in-memory summarizations once.
-  COCONUT_RETURN_IF_ERROR(EnsureSimsLoaded());
-
-  // Line 6: seed the best-so-far set with the approximate answers.
-  SearchResult approx;
-  COCONUT_RETURN_IF_ERROR(ApproxSearch(query, approx_leaves, &approx, k,
-                                       scratch));
-  KnnCollector knn(k);
-  knn.Seed(approx);
-
-  QueryTrace* const trace = scratch->trace;
-  Stopwatch stage;  // refine stage: lower bounds + skip-sequential scan
-  TraceStages spans;
-  const SummaryOptions& sum = options_.summary;
-  scratch->Prepare(sum.series_length, sum.segments);
-  PaaTransform(query, sum.series_length, sum.segments, scratch->paa.data());
-
-  // Lines 8-10: compute lower bounds for every entry, in parallel.
-  const uint64_t n = super_.num_entries;
-  std::vector<double>& mindists = scratch->mindists;
-  ParallelMindists(scratch->paa.data(), sims_sax_.data(), n, sum,
-                   options_.EffectiveThreads(), &mindists);
-
-  // Lines 12-19: skip-sequential scan in leaf order, fetching raw data only
-  // for unpruned entries (pruning against the k-th best distance). For the
-  // materialized tree the fetch is served from the contiguous leaf pages;
-  // otherwise from the raw file by offset.
-  uint64_t visited = 0;
-  uint64_t leaves_read = 0;
-  const size_t series_len = sum.series_length;
-  if (options_.materialized) {
-    std::vector<uint8_t>& page = scratch->page;
-    uint64_t cached_leaf = std::numeric_limits<uint64_t>::max();
-    size_t cached_cnt = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      if (mindists[i] >= knn.bound_sq()) continue;
-      const uint64_t leaf = i / super_.entries_per_leaf;
-      if (leaf != cached_leaf) {
-        COCONUT_CHECK_CONTEXT(scratch->context, "tree.exact.leaf");
-        COCONUT_RETURN_IF_ERROR(ReadLeafPage(leaf, &page, &cached_cnt));
-        cached_leaf = leaf;
-        ++leaves_read;
-      }
-      const size_t slot = static_cast<size_t>(i % super_.entries_per_leaf);
-      const uint8_t* entry = page.data() + slot * super_.entry_bytes;
-      const double d = SquaredEuclideanEarlyAbandon(
-          LeafEntrySeries(entry), query, series_len, knn.bound_sq());
-      ++visited;
-      knn.Offer(DecodeLeafEntryOffset(entry), d);
-    }
-  } else {
-    for (uint64_t i = 0; i < n; ++i) {
-      if (mindists[i] >= knn.bound_sq()) continue;
-      // Each unpruned entry is a raw-file read, so the per-fetch poll stays
-      // proportionate to real I/O.
-      COCONUT_CHECK_CONTEXT(scratch->context, "tree.exact.fetch");
-      COCONUT_RETURN_IF_ERROR(
-          raw_file_->ReadAt(sims_offsets_[i], scratch->fetch.data()));
-      const double d = SquaredEuclideanEarlyAbandon(
-          scratch->fetch.data(), query, series_len, knn.bound_sq());
-      ++visited;
-      knn.Offer(sims_offsets_[i], d);
-    }
-  }
-
-  knn.Finalize(result);
-  result->visited_records = approx.visited_records + visited;
-  result->leaves_read = approx.leaves_read + leaves_read;
-  spans.Mark("tree.refine", "query");
-  if (trace != nullptr) {
-    trace->refine_ns += stage.ElapsedNanos();
-    trace->leaves_visited += leaves_read;
-    trace->records_fetched += visited;
-    trace->pruned_mindist += n - visited;
-  }
-  return Status::OK();
+  QueryScratch local;
+  if (scratch == nullptr) scratch = &local;
+  // Leaves are uniformly packed: entry i sits in leaf i / epl.
+  const uint64_t epl = super_.entries_per_leaf;
+  return SimsExactSearch(
+      Sims(), query, k, scratch, result,
+      [&](SearchResult* approx) {
+        return ApproxSearch(query, approx_leaves, approx, k, scratch);
+      },
+      [epl](uint64_t i) {
+        return EntryLocation{i / epl, static_cast<size_t>(i % epl)};
+      });
 }
 
 double CoconutTree::AvgLeafFill() const {
@@ -432,19 +162,14 @@ double CoconutTree::AvgLeafFill() const {
 }
 
 Status CoconutTree::IndexSizeBytes(uint64_t* bytes) const {
-  uint64_t index_bytes = 0;
-  uint64_t sidecar_bytes = 0;
-  COCONUT_RETURN_IF_ERROR(FileSize(index_path_, &index_bytes));
-  COCONUT_RETURN_IF_ERROR(FileSize(index_path_ + ".sax", &sidecar_bytes));
-  *bytes = index_bytes + sidecar_bytes;
-  return Status::OK();
+  return coconut::IndexSizeBytes(index_path_, bytes);
 }
 
 Status CoconutTree::ReadLeafEntries(uint64_t leaf, std::vector<ZKey>* keys,
                                     std::vector<uint64_t>* offsets) const {
   std::vector<uint8_t> page;
   size_t cnt;
-  COCONUT_RETURN_IF_ERROR(ReadLeafPage(leaf, &page, &cnt));
+  COCONUT_RETURN_IF_ERROR(ReadLeafEntriesRaw(leaf, &page, &cnt));
   keys->clear();
   offsets->clear();
   for (size_t i = 0; i < cnt; ++i) {
@@ -531,7 +256,9 @@ class MergeStream : public SortedRecordStream {
 Status CoconutTree::ReadLeafEntriesRaw(uint64_t leaf,
                                        std::vector<uint8_t>* page,
                                        size_t* entry_count) const {
-  return ReadLeafPage(leaf, page, entry_count);
+  COCONUT_RETURN_IF_ERROR(Sims().ReadPage(leaf, page));
+  *entry_count = LeafEntries(leaf);
+  return Status::OK();
 }
 
 Status CoconutTree::MergeBatch(const std::vector<Series>& batch) {
@@ -585,14 +312,12 @@ Status CoconutTree::MergeBatch(const std::vector<Series>& batch) {
   options_ = reopened->options_;
   super_ = reopened->super_;
   index_file_ = std::move(reopened->index_file_);
-  sidecar_file_ = std::move(reopened->sidecar_file_);
   raw_file_ = std::move(reopened->raw_file_);
   levels_ = std::move(reopened->levels_);
   leaf_crcs_ = std::move(reopened->leaf_crcs_);
   internal_crc_ = reopened->internal_crc_;
-  sims_loaded_.store(false, std::memory_order_release);
-  sims_sax_.clear();
-  sims_offsets_.clear();
+  sidecar_.Open(index_path_ + ".sax", super_.num_entries, super_.segments,
+                super_.has_checksums() ? &super_.sidecar_crc : nullptr);
   return Status::OK();
 }
 

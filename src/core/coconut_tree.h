@@ -15,12 +15,15 @@
 //
 // Both queries accept k >= 1 and return the k nearest neighbors.
 //
+// Both run on the SIMS core shared with Coconut-Trie (sims_common.h); the
+// tree supplies only its routing (LocateLeaf) and its leaf layout.
+//
 // Thread safety: the query paths (ApproxSearch/ExactSearch/ReadLeaf*) are
 // const and safe to call concurrently from many threads — per-query scratch
 // buffers replace shared mutable state, and the lazily-loaded SIMS arrays
-// are guarded by a load-once latch. MergeBatch is a writer and must not run
-// concurrently with queries on the same object (CoconutForest provides
-// snapshot isolation on top for that).
+// are guarded by a load-once latch (SimsSidecar). MergeBatch is a writer
+// and must not run concurrently with queries on the same object
+// (CoconutForest provides snapshot isolation on top for that).
 //
 // Updates: batches are ingested by sorting the new entries and
 // merge-rebuilding the contiguous leaf run (sequential I/O), the bulk
@@ -28,17 +31,16 @@
 #ifndef COCONUT_CORE_COCONUT_TREE_H_
 #define COCONUT_CORE_COCONUT_TREE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/sync.h"
 #include "src/common/zkey.h"
 #include "src/core/coconut_options.h"
 #include "src/core/query_scratch.h"
+#include "src/core/sims_common.h"
 #include "src/core/tree_format.h"
 #include "src/io/file.h"
 #include "src/series/dataset.h"
@@ -62,11 +64,6 @@ struct TreeBuildStats {
 
 class CoconutTree {
  public:
-  /// Reusable per-caller scratch for the query paths (see
-  /// src/core/query_scratch.h): queries allocate one internally when none
-  /// is supplied; batch executors (QueryEngine) pass one per worker.
-  using QueryScratch = coconut::QueryScratch;
-
   /// Builds an index over the raw dataset at `raw_path` into `index_path`
   /// (plus a `<index_path>.sax` sidecar holding the in-memory-scan summary
   /// array). Algorithm 3 of the paper.
@@ -83,20 +80,17 @@ class CoconutTree {
 
   /// Approximate k-NN search: visits a window of `num_leaves` contiguous
   /// leaf pages centered on the query's would-be position (paper's CTree(r)
-  /// notation: CTree(1) visits one page, CTree(10) visits ten).
+  /// notation: CTree(1) visits one page, CTree(10) visits ten). A null
+  /// `scratch` allocates one for this call.
   Status ApproxSearch(const Value* query, size_t num_leaves,
-                      SearchResult* result, size_t k = 1) const;
-  Status ApproxSearch(const Value* query, size_t num_leaves,
-                      SearchResult* result, size_t k,
-                      QueryScratch* scratch) const;
+                      SearchResult* result, size_t k = 1,
+                      QueryScratch* scratch = nullptr) const;
 
   /// Exact k-NN search via CoconutTreeSIMS. `approx_leaves` is the radius
   /// given to the seeding approximate search.
   Status ExactSearch(const Value* query, size_t approx_leaves,
-                     SearchResult* result, size_t k = 1) const;
-  Status ExactSearch(const Value* query, size_t approx_leaves,
-                     SearchResult* result, size_t k,
-                     QueryScratch* scratch) const;
+                     SearchResult* result, size_t k = 1,
+                     QueryScratch* scratch = nullptr) const;
 
   /// Bulk-ingests a batch: appends the series to the raw dataset file and
   /// merge-rebuilds the index sequentially. The in-memory state is
@@ -129,29 +123,21 @@ class CoconutTree {
   CoconutTree() = default;
 
   Status LoadInternalLevels();
-  /// Loads the SIMS sidecar arrays once; concurrent callers block until the
-  /// first load finishes and share its status.
-  Status EnsureSimsLoaded() const;
   /// Walks the in-memory internal levels; returns the leaf index whose key
   /// range covers `key`.
   uint64_t LocateLeaf(const ZKey& key) const;
-  Status ReadLeafPage(uint64_t leaf, std::vector<uint8_t>* page,
-                      size_t* entry_count) const;
-  /// True distance from query to entry `slot` of a decoded leaf page.
-  Status EntryDistanceSq(const uint8_t* entry, const Value* query,
-                         double bound_sq, QueryScratch* scratch,
-                         double* dist_sq) const;
+  /// Live entries of leaf `leaf` (the last leaf may be short).
+  size_t LeafEntries(uint64_t leaf) const;
+  /// Read-side view for the shared SIMS core.
+  SimsIndex Sims() const;
 
   CoconutOptions options_;
   TreeSuperblock super_;
   std::string index_path_;
   std::string raw_path_;
   std::unique_ptr<RandomAccessFile> index_file_;
-  // The .sax sidecar is opened eagerly when present (so a snapshot holder
-  // can still load it after compaction unlinks the file); contents load
-  // lazily. Mutable: EnsureSimsLoaded may retry the open under sims_mu_.
-  mutable std::unique_ptr<RandomAccessFile> sidecar_file_;
   std::unique_ptr<RawSeriesFile> raw_file_;
+  SimsSidecar sidecar_;
 
   struct InternalLevel {
     // Concatenated (first_key, child) entries of all pages of the level;
@@ -163,21 +149,10 @@ class CoconutTree {
   std::vector<InternalLevel> levels_;
 
   // v2 integrity section, loaded at Open: expected CRC32C of each on-disk
-  // leaf page (verified by every ReadLeafPage) and of the internal region
+  // leaf page (verified by every page read) and of the internal region
   // (verified while loading it). Empty/zero for v1 files.
   std::vector<uint32_t> leaf_crcs_;
   uint32_t internal_crc_ = 0;
-
-  // SIMS in-memory arrays (leaf order), loaded lazily from the sidecar on
-  // first exact query. Immutable once sims_loaded_ is set (release-store
-  // after the arrays are filled; acquire-load fast path keeps the steady
-  // state lock-free); sims_mu_ serializes the one-time load. The arrays
-  // carry no GUARDED_BY: after the latch publishes, readers touch them
-  // without the mutex (the release/acquire pair is the ordering).
-  mutable Mutex sims_mu_;
-  mutable std::atomic<bool> sims_loaded_{false};
-  mutable std::vector<uint8_t> sims_sax_;      // num_entries * segments bytes
-  mutable std::vector<uint64_t> sims_offsets_;  // num_entries
 };
 
 /// Shared bulk-loading machinery, reused by Build, MergeBatch, and the

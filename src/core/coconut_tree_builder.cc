@@ -19,33 +19,6 @@
 
 namespace coconut {
 
-namespace {
-
-/// Writes the sidecar record (SAX word + raw offset) for one leaf entry; the
-/// SAX word is recovered from the interleaved key, so the sidecar costs no
-/// extra information (paper §4.1: the transform is invertible).
-Status AppendSidecarRecord(const uint8_t* entry, const CoconutOptions& opts,
-                           std::vector<uint8_t>* scratch,
-                           BufferedWriter* sidecar, uint32_t* sidecar_crc) {
-  const ZKey key = DecodeLeafEntryKey(entry);
-  scratch->resize(opts.summary.segments + 8);
-  SaxFromInvSax(key, opts.summary, scratch->data());
-  const uint64_t offset = DecodeLeafEntryOffset(entry);
-  std::memcpy(scratch->data() + opts.summary.segments, &offset, 8);
-  *sidecar_crc = crc32c::Extend(*sidecar_crc, scratch->data(),
-                                scratch->size());
-  return sidecar->Write(scratch->data(), scratch->size());
-}
-
-void AppendCrcLE(uint32_t crc, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(crc));
-  out->push_back(static_cast<uint8_t>(crc >> 8));
-  out->push_back(static_cast<uint8_t>(crc >> 16));
-  out->push_back(static_cast<uint8_t>(crc >> 24));
-}
-
-}  // namespace
-
 Status CoconutTreeBuilder::BulkLoad(SortedRecordStream* stream,
                                     const CoconutOptions& options,
                                     const std::string& index_path) {
@@ -102,7 +75,7 @@ Status CoconutTreeBuilder::BulkLoad(SortedRecordStream* stream,
     }
     std::memcpy(page.data() + in_page * entry_bytes, record.data(),
                 entry_bytes);
-    COCONUT_RETURN_IF_ERROR(AppendSidecarRecord(record.data(), options,
+    COCONUT_RETURN_IF_ERROR(AppendSidecarRecord(record.data(), options.summary,
                                                 &scratch, &sidecar,
                                                 &sidecar_crc));
     ++in_page;
@@ -169,8 +142,7 @@ Status CoconutTreeBuilder::BulkLoad(SortedRecordStream* stream,
   super.sidecar_crc = sidecar_crc;
 
   // --- Rewrite the superblock with the final metadata. ---
-  super.superblock_crc = 0;
-  super.superblock_crc = crc32c::Value(&super, sizeof(super));
+  super.superblock_crc = SuperblockCrc(super);
   std::vector<uint8_t> sb(kSuperblockBytes, 0);
   std::memcpy(sb.data(), &super, sizeof(super));
   COCONUT_RETURN_IF_ERROR(file->WriteAt(0, sb.data(), sb.size()));

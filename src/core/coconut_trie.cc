@@ -3,18 +3,13 @@
 #include "src/core/coconut_trie.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 
+#include "src/common/crc32c.h"
 #include "src/common/env.h"
 #include "src/common/timer.h"
-#include "src/obs/trace.h"
-#include "src/core/knn.h"
-#include "src/core/sims_common.h"
 #include "src/core/tree_format.h"
 #include "src/io/buffered_io.h"
-#include "src/series/distance.h"
 #include "src/sort/external_sort.h"
 #include "src/summary/invsax.h"
 #include "src/summary/paa.h"
@@ -25,6 +20,11 @@ namespace coconut {
 namespace {
 
 constexpr size_t kNodeRecordBytes = 32;
+
+const SimsSites kTrieSites = {"trie.route",       "trie.approx",
+                              "trie.refine",      "trie.approx.page",
+                              "trie.approx.fetch", "trie.exact.page",
+                              "trie.exact.fetch"};
 constexpr size_t kSortedEntryBytes = ZKey::kBytes + 8;  // (key, offset)
 
 struct BuildNode {
@@ -357,13 +357,16 @@ Status CoconutTrie::Build(const std::string& raw_path,
     Status st = sidecar.Open(index_path + ".sax");
     if (!st.ok()) return cleanup(st);
   }
+  // Integrity section: one CRC per leaf page, then the node-table CRC.
+  std::vector<uint8_t> page_crcs;
 
   {
     BufferedReader entries;
     Status st = entries.Open(entries_path);
     if (!st.ok()) return cleanup(st);
     std::vector<uint8_t> page(leaf_page_bytes);
-    std::vector<uint8_t> sidecar_rec(options.summary.segments + 8);
+    page_crcs.reserve((total_pages + 1) * 4);
+    std::vector<uint8_t> sidecar_rec;
     std::vector<Value> series(series_len);
     uint8_t record[kSortedEntryBytes];
     uint64_t num_leaves = 0;
@@ -384,26 +387,20 @@ Status CoconutTrie::Build(const std::string& raw_path,
           uint64_t offset;
           std::memcpy(&offset, record + ZKey::kBytes, 8);
           uint8_t* slot = page.data() + i * entry_bytes;
-          if (options.materialized) {
-            const Value* src;
-            if (raw_cached) {
-              src = raw_cache.data() + offset / sizeof(Value);
-            } else {
-              st = raw->ReadAt(offset, series.data());
-              if (!st.ok()) return cleanup(st);
-              src = series.data();
-            }
-            EncodeLeafEntry(key, offset, src, series_len, slot);
-          } else {
-            EncodeLeafEntry(key, offset, nullptr, series_len, slot);
+          const Value* src = nullptr;
+          if (options.materialized && raw_cached) {
+            src = raw_cache.data() + offset / sizeof(Value);
+          } else if (options.materialized) {
+            st = raw->ReadAt(offset, series.data());
+            if (!st.ok()) return cleanup(st);
+            src = series.data();
           }
-          // Sidecar: SAX word (recovered from the key) + offset.
-          SaxFromInvSax(key, options.summary, sidecar_rec.data());
-          std::memcpy(sidecar_rec.data() + options.summary.segments, &offset,
-                      8);
-          st = sidecar.Write(sidecar_rec.data(), sidecar_rec.size());
+          EncodeLeafEntry(key, offset, src, series_len, slot);
+          st = AppendSidecarRecord(slot, options.summary, &sidecar_rec,
+                                   &sidecar, &super.sidecar_crc);
           if (!st.ok()) return cleanup(st);
         }
+        AppendCrcLE(crc32c::Value(page.data(), page.size()), &page_crcs);
         st = file->Append(page.data(), page.size());
         if (!st.ok()) return cleanup(st);
         remaining -= in_page;
@@ -414,17 +411,24 @@ Status CoconutTrie::Build(const std::string& raw_path,
     if (!st.ok()) return cleanup(st);
   }
 
-  // Node table.
+  // Node table, then the integrity section. Both are written before the
+  // superblock is stamped, so a crash mid-build leaves a file whose
+  // superblock (all zeroes) fails the magic check.
   super.node_region_offset = file->size();
   {
-    std::vector<uint8_t> rec(kNodeRecordBytes);
-    for (const Node& n : nodes) {
-      PackNode(n, rec.data());
-      Status st = file->Append(rec.data(), rec.size());
-      if (!st.ok()) return cleanup(st);
+    std::vector<uint8_t> table(nodes.size() * kNodeRecordBytes);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      PackNode(nodes[i], table.data() + i * kNodeRecordBytes);
     }
+    AppendCrcLE(crc32c::Value(table.data(), table.size()), &page_crcs);
+    Status st = file->Append(table.data(), table.size());
+    if (!st.ok()) return cleanup(st);
+    super.integrity_offset = file->size();
+    st = file->Append(page_crcs.data(), page_crcs.size());
+    if (!st.ok()) return cleanup(st);
   }
 
+  super.superblock_crc = SuperblockCrc(super);
   std::vector<uint8_t> sb(kSuperblockBytes, 0);
   std::memcpy(sb.data(), &super, sizeof(super));
   {
@@ -445,36 +449,41 @@ Status CoconutTrie::Open(const std::string& index_path,
   trie->raw_path_ = raw_path;
   COCONUT_RETURN_IF_ERROR(
       RandomAccessFile::Open(index_path, &trie->index_file_));
-  std::vector<uint8_t> sb(kSuperblockBytes);
+  TrieSuperblock& super = trie->super_;
   COCONUT_RETURN_IF_ERROR(
-      trie->index_file_->Read(0, kSuperblockBytes, sb.data()));
-  std::memcpy(&trie->super_, sb.data(), sizeof(TrieSuperblock));
-  COCONUT_RETURN_IF_ERROR(trie->super_.Check());
-
-  trie->options_.summary.series_length = trie->super_.series_length;
-  trie->options_.summary.segments = trie->super_.segments;
-  trie->options_.summary.cardinality_bits =
-      static_cast<unsigned>(trie->super_.cardinality_bits);
-  trie->options_.leaf_capacity = trie->super_.leaf_capacity;
-  trie->options_.materialized = trie->super_.materialized != 0;
-
+      ReadSuperblock(trie->index_file_.get(), &super, &trie->options_));
   COCONUT_RETURN_IF_ERROR(RawSeriesFile::Open(
       raw_path, trie->options_.summary.series_length, &trie->raw_file_));
+  trie->sidecar_.Open(index_path + ".sax", super.num_entries, super.segments,
+                      &super.sidecar_crc);
   COCONUT_RETURN_IF_ERROR(trie->LoadNodes());
   *out = std::move(trie);
   return Status::OK();
 }
 
 Status CoconutTrie::LoadNodes() {
-  nodes_.clear();
-  nodes_.reserve(super_.num_nodes);
-  std::vector<uint8_t> table(super_.num_nodes * kNodeRecordBytes);
+  uint32_t table_crc = 0;
+  COCONUT_RETURN_IF_ERROR(ReadIntegritySection(index_file_.get(),
+                                               super_.integrity_offset,
+                                               super_.num_pages, &page_crcs_,
+                                               &table_crc));
+  const uint64_t table_bytes = super_.num_nodes * kNodeRecordBytes;
+  if (super_.num_nodes == 0 ||
+      super_.node_region_offset + table_bytes > super_.integrity_offset) {
+    return Status::Corruption("trie node table out of range: " + index_path_);
+  }
+  std::vector<uint8_t> table(table_bytes);
   COCONUT_RETURN_IF_ERROR(index_file_->Read(super_.node_region_offset,
                                             table.size(), table.data()));
+  COCONUT_RETURN_IF_ERROR(VerifyCrc(crc32c::Value(table.data(), table.size()),
+                                    table_crc, "trie node table",
+                                    index_path_));
+  nodes_.clear();
+  nodes_.reserve(super_.num_nodes);
   for (uint64_t i = 0; i < super_.num_nodes; ++i) {
     nodes_.push_back(UnpackNode(table.data() + i * kNodeRecordBytes));
   }
-  root_ = nodes_.empty() ? -1 : 0;
+  root_ = 0;
 
   // Leaves in serialized (preorder) order are in left-to-right key order.
   leaf_order_.clear();
@@ -507,216 +516,62 @@ int64_t CoconutTrie::DescendToLeaf(const ZKey& key) const {
   return id;
 }
 
-Status CoconutTrie::ReadPage(uint64_t page, std::vector<uint8_t>* buf,
-                             size_t* entry_count) const {
-  if (page >= super_.num_pages) {
-    return Status::InvalidArgument("page index out of range");
-  }
-  buf->resize(super_.leaf_page_bytes);
-  COCONUT_RETURN_IF_ERROR(
-      index_file_->Read(kSuperblockBytes + page * super_.leaf_page_bytes,
-                        super_.leaf_page_bytes, buf->data()));
+size_t CoconutTrie::PageEntries(uint64_t page) const {
   const Node& leaf = nodes_[leaf_order_[page_owner_[page]]];
-  const uint64_t page_in_leaf = page - leaf.first_page;
-  const uint64_t before = page_in_leaf * super_.leaf_capacity;
-  *entry_count = static_cast<size_t>(std::min<uint64_t>(
+  const uint64_t before = (page - leaf.first_page) * super_.leaf_capacity;
+  return static_cast<size_t>(std::min<uint64_t>(
       super_.leaf_capacity,
       leaf.entry_count > before ? leaf.entry_count - before : 0));
-  return Status::OK();
 }
 
-Status CoconutTrie::ApproxSearch(const Value* query, size_t num_pages,
-                                 SearchResult* result, size_t k) const {
-  QueryScratch scratch;
-  return ApproxSearch(query, num_pages, result, k, &scratch);
+size_t CoconutTrie::LeafIndexForEntry(uint64_t i) const {
+  // leaf_order_ is key-ordered, so entry_begin ascends along it; the first
+  // leaf begins at entry 0.
+  const auto it = std::upper_bound(
+      leaf_order_.begin(), leaf_order_.end(), i,
+      [this](uint64_t e, int64_t id) { return e < nodes_[id].entry_begin; });
+  return static_cast<size_t>(it - leaf_order_.begin()) - 1;
+}
+
+SimsIndex CoconutTrie::Sims() const {
+  return {&kTrieSites,           index_file_.get(),
+          raw_file_.get(),       &sidecar_,
+          &page_crcs_,           &options_.summary,
+          options_.materialized, options_.num_threads,
+          super_.entry_bytes,    super_.leaf_page_bytes,
+          super_.num_pages,      super_.num_entries};
 }
 
 Status CoconutTrie::ApproxSearch(const Value* query, size_t num_pages,
                                  SearchResult* result, size_t k,
                                  QueryScratch* scratch) const {
-  if (num_pages == 0) num_pages = 1;
-  QueryTrace* const trace = scratch->trace;
-  Stopwatch stage;  // consulted only when tracing
-  TraceStages spans;
-  const SummaryOptions& sum = options_.summary;
-  scratch->Prepare(sum.series_length, sum.segments);
-  double* paa = scratch->paa.data();
-  PaaTransform(query, sum.series_length, sum.segments, paa);
-  SaxFromPaa(paa, sum, scratch->sax.data());
-  const ZKey key = InvSaxFromSax(scratch->sax.data(), sum);
-
-  const int64_t leaf_id = DescendToLeaf(key);
-  if (leaf_id < 0) return Status::Internal("empty trie");
-  const uint64_t target = nodes_[leaf_id].first_page;
-  uint64_t lo =
-      target > (num_pages - 1) / 2 ? target - (num_pages - 1) / 2 : 0;
-  uint64_t hi = std::min<uint64_t>(super_.num_pages - 1, lo + num_pages - 1);
-  lo = (hi + 1 >= num_pages) ? hi + 1 - num_pages : 0;
-  spans.Mark("trie.route", "query");
-  if (trace != nullptr) {
-    trace->route_ns += stage.ElapsedNanos();
-    stage.Restart();
-  }
-
-  KnnCollector knn(k);
-  uint64_t visited = 0;
-  std::vector<uint8_t>& page = scratch->page;
-  const size_t n = sum.series_length;
-  for (uint64_t p = lo; p <= hi; ++p) {
-    COCONUT_CHECK_CONTEXT(scratch->context, "trie.approx.page");
-    size_t cnt;
-    COCONUT_RETURN_IF_ERROR(ReadPage(p, &page, &cnt));
-    for (size_t i = 0; i < cnt; ++i) {
-      const uint8_t* entry = page.data() + i * super_.entry_bytes;
-      double d;
-      if (options_.materialized) {
-        d = SquaredEuclideanEarlyAbandon(LeafEntrySeries(entry), query, n,
-                                         knn.bound_sq());
-      } else {
-        // scratch->fetch was sized by Prepare() above. Each entry is a
-        // raw-file read, so poll per fetch (the per-page poll above is too
-        // coarse when every entry costs real I/O).
-        COCONUT_CHECK_CONTEXT(scratch->context, "trie.approx.fetch");
-        COCONUT_RETURN_IF_ERROR(
-            raw_file_->ReadAt(DecodeLeafEntryOffset(entry),
-                              scratch->fetch.data()));
-        d = SquaredEuclideanEarlyAbandon(scratch->fetch.data(), query, n,
-                                         knn.bound_sq());
-      }
-      ++visited;
-      knn.Offer(DecodeLeafEntryOffset(entry), d);
-    }
-  }
-  knn.Finalize(result);
-  result->visited_records = visited;
-  result->leaves_read = hi - lo + 1;
-  spans.Mark("trie.approx", "query");
-  if (trace != nullptr) {
-    trace->approx_ns += stage.ElapsedNanos();
-    trace->leaves_visited += hi - lo + 1;
-    trace->records_fetched += visited;
-  }
-  return Status::OK();
-}
-
-Status CoconutTrie::EnsureSimsLoaded() const {
-  // Load-once latch (same shape as CoconutTree::EnsureSimsLoaded): the
-  // first exact query loads the sidecar; concurrent callers block on the
-  // mutex and find sims_loaded_ set. The arrays are immutable afterwards,
-  // so the steady state is a lock-free acquire-load.
-  if (sims_loaded_.load(std::memory_order_acquire)) return Status::OK();
-  MutexLock lock(&sims_mu_);
-  if (sims_loaded_.load(std::memory_order_relaxed)) return Status::OK();
-  const size_t w = options_.summary.segments;
-  const uint64_t n = super_.num_entries;
-  BufferedReader reader;
-  COCONUT_RETURN_IF_ERROR(reader.Open(index_path_ + ".sax"));
-  if (reader.file_size() != n * (w + 8)) {
-    return Status::Corruption("sidecar size mismatch");
-  }
-  sims_sax_.resize(n * w);
-  sims_offsets_.resize(n);
-  std::vector<uint8_t> rec(w + 8);
-  for (uint64_t i = 0; i < n; ++i) {
-    COCONUT_RETURN_IF_ERROR(reader.Read(rec.data(), rec.size()));
-    std::memcpy(sims_sax_.data() + i * w, rec.data(), w);
-    std::memcpy(&sims_offsets_[i], rec.data() + w, 8);
-  }
-  sims_loaded_.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
-size_t CoconutTrie::LeafIndexForEntry(uint64_t i) const {
-  // Binary search over leaves' entry_begin (leaf_order_ is key-ordered).
-  size_t lo = 0, hi = leaf_order_.size();
-  while (lo + 1 < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (nodes_[leaf_order_[mid]].entry_begin <= i) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-Status CoconutTrie::ExactSearch(const Value* query, size_t approx_pages,
-                                SearchResult* result, size_t k) const {
-  QueryScratch scratch;
-  return ExactSearch(query, approx_pages, result, k, &scratch);
+  QueryScratch local;
+  return SimsApproxSearch(
+      Sims(), query, num_pages, k, scratch != nullptr ? scratch : &local,
+      result,
+      [this](const ZKey& key) {
+        return nodes_[DescendToLeaf(key)].first_page;
+      },
+      [this](uint64_t page) { return PageEntries(page); });
 }
 
 Status CoconutTrie::ExactSearch(const Value* query, size_t approx_pages,
                                 SearchResult* result, size_t k,
                                 QueryScratch* scratch) const {
-  COCONUT_RETURN_IF_ERROR(EnsureSimsLoaded());
-
-  SearchResult approx;
-  COCONUT_RETURN_IF_ERROR(
-      ApproxSearch(query, approx_pages, &approx, k, scratch));
-  KnnCollector knn(k);
-  knn.Seed(approx);
-
-  QueryTrace* const trace = scratch->trace;
-  Stopwatch stage;  // refine stage: lower bounds + skip-sequential scan
-  TraceStages spans;
-  const SummaryOptions& sum = options_.summary;
-  scratch->Prepare(sum.series_length, sum.segments);
-  PaaTransform(query, sum.series_length, sum.segments, scratch->paa.data());
-  std::vector<double>& mindists = scratch->mindists;
-  ParallelMindists(scratch->paa.data(), sims_sax_.data(), super_.num_entries,
-                   sum, options_.EffectiveThreads(), &mindists);
-
-  uint64_t visited = 0;
-  uint64_t pages_read = 0;
-  const size_t series_len = sum.series_length;
-  if (options_.materialized) {
-    std::vector<uint8_t>& page = scratch->page;
-    uint64_t cached_page = std::numeric_limits<uint64_t>::max();
-    size_t cached_cnt = 0;
-    for (uint64_t i = 0; i < super_.num_entries; ++i) {
-      if (mindists[i] >= knn.bound_sq()) continue;
-      const Node& leaf = nodes_[leaf_order_[LeafIndexForEntry(i)]];
-      const uint64_t in_leaf = i - leaf.entry_begin;
-      const uint64_t pg = leaf.first_page + in_leaf / super_.leaf_capacity;
-      const size_t slot =
-          static_cast<size_t>(in_leaf % super_.leaf_capacity);
-      if (pg != cached_page) {
-        COCONUT_CHECK_CONTEXT(scratch->context, "trie.exact.page");
-        COCONUT_RETURN_IF_ERROR(ReadPage(pg, &page, &cached_cnt));
-        cached_page = pg;
-        ++pages_read;
-      }
-      const uint8_t* entry = page.data() + slot * super_.entry_bytes;
-      const double d = SquaredEuclideanEarlyAbandon(
-          LeafEntrySeries(entry), query, series_len, knn.bound_sq());
-      ++visited;
-      knn.Offer(DecodeLeafEntryOffset(entry), d);
-    }
-  } else {
-    for (uint64_t i = 0; i < super_.num_entries; ++i) {
-      if (mindists[i] >= knn.bound_sq()) continue;
-      COCONUT_CHECK_CONTEXT(scratch->context, "trie.exact.fetch");
-      COCONUT_RETURN_IF_ERROR(
-          raw_file_->ReadAt(sims_offsets_[i], scratch->fetch.data()));
-      const double d = SquaredEuclideanEarlyAbandon(
-          scratch->fetch.data(), query, series_len, knn.bound_sq());
-      ++visited;
-      knn.Offer(sims_offsets_[i], d);
-    }
-  }
-
-  knn.Finalize(result);
-  result->visited_records = approx.visited_records + visited;
-  result->leaves_read = approx.leaves_read + pages_read;
-  spans.Mark("trie.refine", "query");
-  if (trace != nullptr) {
-    trace->refine_ns += stage.ElapsedNanos();
-    trace->leaves_visited += pages_read;
-    trace->records_fetched += visited;
-    trace->pruned_mindist += super_.num_entries - visited;
-  }
-  return Status::OK();
+  QueryScratch local;
+  if (scratch == nullptr) scratch = &local;
+  return SimsExactSearch(
+      Sims(), query, k, scratch, result,
+      [&](SearchResult* approx) {
+        return ApproxSearch(query, approx_pages, approx, k, scratch);
+      },
+      [this](uint64_t i) {
+        const Node& leaf = nodes_[leaf_order_[LeafIndexForEntry(i)]];
+        const uint64_t in_leaf = i - leaf.entry_begin;
+        return EntryLocation{
+            leaf.first_page + in_leaf / super_.leaf_capacity,
+            static_cast<size_t>(in_leaf % super_.leaf_capacity)};
+      });
 }
 
 double CoconutTrie::AvgLeafFill() const {
@@ -745,12 +600,7 @@ uint64_t CoconutTrie::Height() const {
 }
 
 Status CoconutTrie::IndexSizeBytes(uint64_t* bytes) const {
-  uint64_t index_bytes = 0;
-  uint64_t sidecar_bytes = 0;
-  COCONUT_RETURN_IF_ERROR(FileSize(index_path_, &index_bytes));
-  COCONUT_RETURN_IF_ERROR(FileSize(index_path_ + ".sax", &sidecar_bytes));
-  *bytes = index_bytes + sidecar_bytes;
-  return Status::OK();
+  return coconut::IndexSizeBytes(index_path_, bytes);
 }
 
 }  // namespace coconut

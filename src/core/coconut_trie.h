@@ -19,20 +19,39 @@
 // summarizations, then loads the raw series into the sorted leaves in a last
 // pass — random I/O when the raw file exceeds the memory budget, which is
 // why CTrieFull degrades with constrained memory in paper Fig 8a.
+//
+// Queries run on the SIMS core shared with Coconut-Tree (sims_common.h);
+// the trie supplies only its descent (DescendToLeaf) and its page -> leaf
+// map.
+//
+// On-disk format, version 2 (single file plus a `.sax` sidecar):
+//   [superblock: 4096 bytes]
+//   [leaf pages: num_pages x leaf_page_bytes]  <- leaves left to right; a
+//                                                leaf spans >= 1 page
+//   [node table: num_nodes x 32 bytes]         <- preorder, at
+//                                                node_region_offset
+//   [page CRC32C x num_pages][node-table CRC32C]  <- 4 bytes LE each, at
+//                                                   integrity_offset
+// Leaf entries use the tree's layout (tree_format.h). The superblock also
+// carries sidecar_crc (CRC32C of the whole `.sax` file) and superblock_crc
+// (CRC32C of the struct with that field zeroed, stamped last). Open verifies
+// the superblock and the node table, every page read verifies its page CRC,
+// and the sidecar is verified when it is first loaded — the same framing and
+// code as the tree's v2 format. Version 1 files (no checksums) are rejected
+// as Corruption; rebuild them.
 #ifndef COCONUT_CORE_COCONUT_TRIE_H_
 #define COCONUT_CORE_COCONUT_TRIE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/sync.h"
 #include "src/common/zkey.h"
 #include "src/core/coconut_options.h"
 #include "src/core/query_scratch.h"
+#include "src/core/sims_common.h"
 #include "src/io/file.h"
 #include "src/series/dataset.h"
 #include "src/series/series.h"
@@ -56,7 +75,7 @@ inline constexpr uint64_t kTrieMagic = 0x31454952544E4343ull;  // "CCNTRIE1"
 
 struct TrieSuperblock {
   uint64_t magic = kTrieMagic;
-  uint64_t version = 1;
+  uint64_t version = 2;
   uint64_t materialized = 0;
   uint64_t series_length = 0;
   uint64_t segments = 0;
@@ -69,23 +88,25 @@ struct TrieSuperblock {
   uint64_t num_pages = 0;
   uint64_t num_nodes = 0;
   uint64_t node_region_offset = 0;
+  /// File offset of the integrity section.
+  uint64_t integrity_offset = 0;
+  /// CRC32C of the entire .sax sidecar file.
+  uint32_t sidecar_crc = 0;
+  /// CRC32C of this struct with this field zeroed. Stamped last.
+  uint32_t superblock_crc = 0;
 
   Status Check() const {
     if (magic != kTrieMagic) return Status::Corruption("bad trie magic");
-    if (version != 1) return Status::Corruption("unsupported trie version");
+    if (version != 2) return Status::Corruption("unsupported trie version");
     return Status::OK();
   }
+
+  bool has_checksums() const { return version >= 2; }
 };
+static_assert(std::is_trivially_copyable_v<TrieSuperblock>);
 
 class CoconutTrie {
  public:
-  /// Reusable per-caller scratch for the query paths (see
-  /// src/core/query_scratch.h): queries allocate one internally when none
-  /// is supplied; batch executors pass one per worker. Replaces the old
-  /// shared mutable fetch buffer, so the query paths are const and safe to
-  /// call concurrently from many threads.
-  using QueryScratch = coconut::QueryScratch;
-
   /// Builds the trie index over `raw_path` into `index_path` (plus a
   /// `<index_path>.sax` sidecar). Algorithm 2 of the paper.
   static Status Build(const std::string& raw_path,
@@ -98,20 +119,17 @@ class CoconutTrie {
                      std::unique_ptr<CoconutTrie>* out);
 
   /// Approximate k-NN search: descends to the most promising leaf and scans
-  /// a window of `num_pages` contiguous leaf pages around it.
+  /// a window of `num_pages` contiguous leaf pages around it. A null
+  /// `scratch` allocates one for this call.
   Status ApproxSearch(const Value* query, size_t num_pages,
-                      SearchResult* result, size_t k = 1) const;
-  Status ApproxSearch(const Value* query, size_t num_pages,
-                      SearchResult* result, size_t k,
-                      QueryScratch* scratch) const;
+                      SearchResult* result, size_t k = 1,
+                      QueryScratch* scratch = nullptr) const;
 
   /// Exact k-NN search via the SIMS skip-sequential scan (paper §4.2 "we
   /// employee the SIMS algorithm" for exact search over the trie as well).
   Status ExactSearch(const Value* query, size_t approx_pages,
-                     SearchResult* result, size_t k = 1) const;
-  Status ExactSearch(const Value* query, size_t approx_pages,
-                     SearchResult* result, size_t k,
-                     QueryScratch* scratch) const;
+                     SearchResult* result, size_t k = 1,
+                     QueryScratch* scratch = nullptr) const;
 
   // --- introspection ---
   uint64_t num_entries() const { return super_.num_entries; }
@@ -144,15 +162,14 @@ class CoconutTrie {
   CoconutTrie() = default;
 
   Status LoadNodes();
-  /// Loads the SIMS sidecar arrays once; concurrent callers block until the
-  /// first load finishes (same load-once latch as CoconutTree).
-  Status EnsureSimsLoaded() const;
   /// Leaf node id whose key range covers `key` (pure descent).
   int64_t DescendToLeaf(const ZKey& key) const;
-  Status ReadPage(uint64_t page, std::vector<uint8_t>* buf,
-                  size_t* entry_count) const;
   /// Leaf owning global entry index `i` (binary search over entry_begin).
   size_t LeafIndexForEntry(uint64_t i) const;
+  /// Live entries of page `page` of its leaf.
+  size_t PageEntries(uint64_t page) const;
+  /// Read-side view for the shared SIMS core.
+  SimsIndex Sims() const;
 
   CoconutOptions options_;
   TrieSuperblock super_;
@@ -160,21 +177,14 @@ class CoconutTrie {
   std::string raw_path_;
   std::unique_ptr<RandomAccessFile> index_file_;
   std::unique_ptr<RawSeriesFile> raw_file_;
+  SimsSidecar sidecar_;
+  std::vector<uint32_t> page_crcs_;  // integrity section, loaded at Open
 
   std::vector<Node> nodes_;
   int64_t root_ = -1;
   // Leaves in left-to-right order; used to map entries/pages to leaves.
   std::vector<int64_t> leaf_order_;
   std::vector<uint64_t> page_owner_;  // page -> index into leaf_order_
-
-  // SIMS in-memory arrays, loaded lazily from the sidecar on first exact
-  // query. Immutable once sims_loaded_ is set (release-store after the
-  // arrays are filled; acquire-load fast path keeps the steady state
-  // lock-free); sims_mu_ serializes the one-time load.
-  mutable Mutex sims_mu_;
-  mutable std::atomic<bool> sims_loaded_{false};
-  mutable std::vector<uint8_t> sims_sax_;
-  mutable std::vector<uint64_t> sims_offsets_;
 };
 
 }  // namespace coconut

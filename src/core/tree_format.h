@@ -33,7 +33,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
+#include "src/common/crc32c.h"
 #include "src/common/status.h"
 #include "src/common/zkey.h"
 #include "src/core/coconut_options.h"
@@ -85,6 +87,30 @@ struct TreeSuperblock {
 };
 static_assert(sizeof(TreeSuperblock) <= kSuperblockBytes);
 static_assert(std::is_trivially_copyable_v<TreeSuperblock>);
+
+/// Little-endian CRC32C encoding used by the integrity sections of both the
+/// tree and the trie (coconut_trie.h): written by their builders, decoded by
+/// ReadIntegritySection (sims_common.h).
+inline void AppendCrcLE(uint32_t crc, std::vector<uint8_t>* out) {
+  out->push_back(static_cast<uint8_t>(crc));
+  out->push_back(static_cast<uint8_t>(crc >> 8));
+  out->push_back(static_cast<uint8_t>(crc >> 16));
+  out->push_back(static_cast<uint8_t>(crc >> 24));
+}
+
+inline uint32_t DecodeCrc32LE(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
+/// CRC32C of a tree or trie superblock struct with its superblock_crc field
+/// zeroed: stamped last by the builders, checked first by Open.
+template <typename Superblock>
+uint32_t SuperblockCrc(Superblock super) {
+  super.superblock_crc = 0;
+  return crc32c::Value(&super, sizeof(super));
+}
 
 /// Size of one leaf entry for the given options.
 inline size_t LeafEntryBytes(const CoconutOptions& opts) {

@@ -158,6 +158,17 @@ Status RunBatch(ThreadPool* pool, size_t num_items, bool exact,
   return first_error;
 }
 
+/// Tree and trie share one search signature.
+template <typename Index>
+auto IndexSearch(const Index& index, const QuerySpec& spec) {
+  return [&index, &spec](const Value* q, bool exact, SearchResult* r,
+                         QueryScratch* scratch) {
+    return exact ? index.ExactSearch(q, spec.approx_leaves, r, spec.k, scratch)
+                 : index.ApproxSearch(q, spec.approx_leaves, r, spec.k,
+                                      scratch);
+  };
+}
+
 }  // namespace
 
 Status QueryEngine::Admit(const std::vector<Series>& queries,
@@ -168,29 +179,44 @@ Status QueryEngine::Admit(const std::vector<Series>& queries,
   return admission_->Admit(bytes, ticket);
 }
 
-Status QueryEngine::ExecuteBatch(const CoconutTree& tree,
-                                 const std::vector<Series>& queries,
-                                 const QuerySpec& spec,
-                                 std::vector<SearchResult>* results,
-                                 std::vector<QueryTrace>* traces,
-                                 const Context& ctx) const {
+template <typename Search>
+Status QueryEngine::RunSearchBatch(const std::vector<Series>& queries,
+                                   const QuerySpec& spec,
+                                   std::vector<SearchResult>* results,
+                                   std::vector<QueryTrace>* traces,
+                                   const Context& ctx,
+                                   const Search& search) const {
   AdmissionController::Ticket ticket;
   COCONUT_RETURN_IF_ERROR(Admit(queries, &ticket));
   BatchScope batch;
   results->assign(queries.size(), SearchResult{});
   if (traces != nullptr) traces->assign(queries.size(), QueryTrace{});
   const bool exact = spec.mode == QuerySpec::Mode::kExact;
-  return RunBatch<CoconutTree::QueryScratch>(
+  return RunBatch<QueryScratch>(
       pool_, queries.size(), exact, /*flush_per_item=*/true, traces, ctx,
-      [&](uint64_t i, CoconutTree::QueryScratch* scratch) {
-        const Value* q = queries[i].data();
-        SearchResult* r = &(*results)[i];
-        return exact
-                   ? tree.ExactSearch(q, spec.approx_leaves, r, spec.k,
-                                      scratch)
-                   : tree.ApproxSearch(q, spec.approx_leaves, r, spec.k,
-                                       scratch);
+      [&](uint64_t i, QueryScratch* scratch) {
+        return search(queries[i].data(), exact, &(*results)[i], scratch);
       });
+}
+
+Status QueryEngine::ExecuteBatch(const CoconutTree& tree,
+                                 const std::vector<Series>& queries,
+                                 const QuerySpec& spec,
+                                 std::vector<SearchResult>* results,
+                                 std::vector<QueryTrace>* traces,
+                                 const Context& ctx) const {
+  return RunSearchBatch(queries, spec, results, traces, ctx,
+                        IndexSearch(tree, spec));
+}
+
+Status QueryEngine::ExecuteBatch(const CoconutTrie& trie,
+                                 const std::vector<Series>& queries,
+                                 const QuerySpec& spec,
+                                 std::vector<SearchResult>* results,
+                                 std::vector<QueryTrace>* traces,
+                                 const Context& ctx) const {
+  return RunSearchBatch(queries, spec, results, traces, ctx,
+                        IndexSearch(trie, spec));
 }
 
 Status QueryEngine::ExecuteBatch(const CoconutForest& forest,
@@ -210,46 +236,12 @@ Status QueryEngine::ExecuteBatch(const CoconutForest& forest,
                                  std::vector<SearchResult>* results,
                                  std::vector<QueryTrace>* traces,
                                  const Context& ctx) const {
-  AdmissionController::Ticket ticket;
-  COCONUT_RETURN_IF_ERROR(Admit(queries, &ticket));
-  BatchScope batch;
-  results->assign(queries.size(), SearchResult{});
-  if (traces != nullptr) traces->assign(queries.size(), QueryTrace{});
-  const bool exact = spec.mode == QuerySpec::Mode::kExact;
-  return RunBatch<CoconutTree::QueryScratch>(
-      pool_, queries.size(), exact, /*flush_per_item=*/true, traces, ctx,
-      [&](uint64_t i, CoconutTree::QueryScratch* scratch) {
-        const Value* q = queries[i].data();
-        SearchResult* r = &(*results)[i];
-        return exact
-                   ? forest.ExactSearch(snapshot, q, r, spec.k, scratch)
-                   : forest.ApproxSearch(snapshot, q, spec.approx_leaves, r,
-                                         spec.k, scratch);
-      });
-}
-
-Status QueryEngine::ExecuteBatch(const CoconutTrie& trie,
-                                 const std::vector<Series>& queries,
-                                 const QuerySpec& spec,
-                                 std::vector<SearchResult>* results,
-                                 std::vector<QueryTrace>* traces,
-                                 const Context& ctx) const {
-  AdmissionController::Ticket ticket;
-  COCONUT_RETURN_IF_ERROR(Admit(queries, &ticket));
-  BatchScope batch;
-  results->assign(queries.size(), SearchResult{});
-  if (traces != nullptr) traces->assign(queries.size(), QueryTrace{});
-  const bool exact = spec.mode == QuerySpec::Mode::kExact;
-  return RunBatch<CoconutTrie::QueryScratch>(
-      pool_, queries.size(), exact, /*flush_per_item=*/true, traces, ctx,
-      [&](uint64_t i, CoconutTrie::QueryScratch* scratch) {
-        const Value* q = queries[i].data();
-        SearchResult* r = &(*results)[i];
-        return exact
-                   ? trie.ExactSearch(q, spec.approx_leaves, r, spec.k,
-                                      scratch)
-                   : trie.ApproxSearch(q, spec.approx_leaves, r, spec.k,
-                                       scratch);
+  return RunSearchBatch(
+      queries, spec, results, traces, ctx,
+      [&](const Value* q, bool exact, SearchResult* r, QueryScratch* scratch) {
+        return exact ? forest.ExactSearch(snapshot, q, r, spec.k, scratch)
+                     : forest.ApproxSearch(snapshot, q, spec.approx_leaves, r,
+                                           spec.k, scratch);
       });
 }
 
@@ -290,9 +282,9 @@ Status QueryEngine::ExecuteBatch(const ShardedStore& store,
   // which merges as "no candidates").
   std::vector<SearchResult> cells(queries.size() * num_shards);
   std::vector<QueryTrace> cell_traces(cells.size());
-  COCONUT_RETURN_IF_ERROR(RunBatch<CoconutTree::QueryScratch>(
+  COCONUT_RETURN_IF_ERROR(RunBatch<QueryScratch>(
       pool_, cells.size(), exact, /*flush_per_item=*/false, &cell_traces, ctx,
-      [&](uint64_t cell, CoconutTree::QueryScratch* scratch) {
+      [&](uint64_t cell, QueryScratch* scratch) {
         const size_t qi = static_cast<size_t>(cell) / num_shards;
         const size_t si = static_cast<size_t>(cell) % num_shards;
         if (snapshot.shards[si].num_entries() == 0) return Status::OK();

@@ -2,8 +2,8 @@
 // over Coconut indexes.
 //
 // A batch is distributed over the shared ThreadPool; each worker carries a
-// per-thread scratch (CoconutTree::QueryScratch / CoconutTrie::QueryScratch)
-// so the (const, thread-safe) read paths never contend on shared buffers.
+// per-thread QueryScratch so the (const, thread-safe) read paths never
+// contend on shared buffers.
 // Forest batches take ONE snapshot up front, so every query in the batch
 // observes the same point-in-time state while writers keep
 // inserting/flushing/compacting underneath. Store batches do the same with
@@ -140,6 +140,16 @@ class QueryEngine {
   /// `*ticket` holds the batch's budget for the caller's scope.
   Status Admit(const std::vector<Series>& queries,
                AdmissionController::Ticket* ticket) const;
+
+  /// The body shared by the tree, trie and forest-snapshot batches: admit,
+  /// then run `search(query, exact, result, scratch)` for every query on
+  /// the pool.
+  template <typename Search>
+  Status RunSearchBatch(const std::vector<Series>& queries,
+                        const QuerySpec& spec,
+                        std::vector<SearchResult>* results,
+                        std::vector<QueryTrace>* traces, const Context& ctx,
+                        const Search& search) const;
 
   ThreadPool* pool_;
   AdmissionController* admission_;

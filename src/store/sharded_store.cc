@@ -702,12 +702,12 @@ Status ShardedStore::ExactSearch(const Value* query, SearchResult* result,
 
 Status ShardedStore::ExactSearch(const Snapshot& snapshot, const Value* query,
                                  SearchResult* result, size_t k,
-                                 CoconutTree::QueryScratch* scratch) const {
+                                 QueryScratch* scratch) const {
   if (snapshot.shards.size() != shards_.size()) {
     return Status::InvalidArgument("snapshot shard count mismatch");
   }
   if (snapshot.num_entries() == 0) return Status::NotFound("empty store");
-  CoconutTree::QueryScratch local_scratch;
+  QueryScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   // Shards partition the data, so merging per-shard exact top-k answers
   // yields the global top-k (the forest's per-run argument, one level up).
@@ -747,12 +747,12 @@ Status ShardedStore::ApproxSearch(const Value* query, size_t num_leaves,
 Status ShardedStore::ApproxSearch(const Snapshot& snapshot, const Value* query,
                                   size_t num_leaves, SearchResult* result,
                                   size_t k,
-                                  CoconutTree::QueryScratch* scratch) const {
+                                  QueryScratch* scratch) const {
   if (snapshot.shards.size() != shards_.size()) {
     return Status::InvalidArgument("snapshot shard count mismatch");
   }
   if (snapshot.num_entries() == 0) return Status::NotFound("empty store");
-  CoconutTree::QueryScratch local_scratch;
+  QueryScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   bool degraded = snapshot.degraded;
   std::vector<SearchResult> per_shard(shards_.size());

@@ -198,7 +198,7 @@ class ShardedStore {
                      size_t k = 1) const;
   Status ExactSearch(const Snapshot& snapshot, const Value* query,
                      SearchResult* result, size_t k = 1,
-                     CoconutTree::QueryScratch* scratch = nullptr) const;
+                     QueryScratch* scratch = nullptr) const;
 
   /// Approximate search: best k candidates across every shard's memtable
   /// and target leaf windows.
@@ -206,7 +206,7 @@ class ShardedStore {
                       SearchResult* result, size_t k = 1) const;
   Status ApproxSearch(const Snapshot& snapshot, const Value* query,
                       size_t num_leaves, SearchResult* result, size_t k = 1,
-                      CoconutTree::QueryScratch* scratch = nullptr) const;
+                      QueryScratch* scratch = nullptr) const;
 
   /// Merges per-shard k-NN answers (indexed by shard id) into one result,
   /// retagging neighbor offsets with the shard id. Exposed for QueryEngine.

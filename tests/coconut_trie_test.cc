@@ -5,9 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <random>
 
 #include "gtest/gtest.h"
 #include "src/core/coconut_tree.h"
+#include "src/core/tree_format.h"
 #include "src/exec/query_engine.h"
 #include "src/exec/thread_pool.h"
 #include "src/series/distance.h"
@@ -341,6 +345,150 @@ TEST(CoconutTrieErrors, TreeFileRejectedByTrieOpen) {
   Status st = CoconutTrie::Open(tree_index, raw, &trie);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
+
+// --- Byte flips over every on-disk region, for the trie and the tree ---
+
+struct FlipCase {
+  bool trie;
+  bool materialized;
+};
+
+template <typename Superblock>
+Superblock SuperblockOf(const std::string& path) {
+  Superblock sb;
+  std::ifstream in(path, std::ios::binary);
+  in.read(reinterpret_cast<char*>(&sb), sizeof(sb));
+  return sb;
+}
+
+void FlipByte(const std::string& path, uint64_t offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekg(static_cast<std::streamoff>(offset));
+  char b = 0;
+  f.read(&b, 1);
+  b = static_cast<char>(b ^ 0x40);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(&b, 1);
+}
+
+class ByteFlipTest : public ::testing::TestWithParam<FlipCase> {};
+
+TEST_P(ByteFlipTest, FlipIsDetectedOrAnswerStaysExact) {
+  // One seeded byte flip in each region of a fresh copy of the index: the
+  // superblock, the payload of leaf entry 0 (its raw offset or inline
+  // series), the node table (trie) or internal levels (tree), and sidecar
+  // record 0. The query is entry 0's own series, so every region feeds the
+  // answer. Each copy must then fail to open or search with Corruption, or
+  // return the brute-force 3-NN.
+  const FlipCase c = GetParam();
+  ScratchDir dir;
+  const std::string raw = dir.File("data.bin");
+  const std::vector<Series> data =
+      MakeDatasetFile(raw, DatasetKind::kRandomWalk, 1000, 64, 91);
+  CoconutOptions opts;
+  opts.summary.series_length = 64;
+  opts.summary.segments = 16;
+  opts.leaf_capacity = 64;
+  opts.materialized = c.materialized;
+  opts.tmp_dir = dir.path();
+  const std::string index = dir.File("index");
+  uint64_t super_bytes, entry_bytes, region_begin, region_end;
+  if (c.trie) {
+    ASSERT_OK(CoconutTrie::Build(raw, index, opts));
+    const auto sb = SuperblockOf<TrieSuperblock>(index);
+    super_bytes = sizeof(sb);
+    entry_bytes = sb.entry_bytes;
+    region_begin = sb.node_region_offset;
+    region_end = region_begin + sb.num_nodes * 32;
+  } else {
+    ASSERT_OK(CoconutTree::Build(raw, index, opts));
+    const auto sb = SuperblockOf<TreeSuperblock>(index);
+    ASSERT_GT(sb.num_internal_levels, 0u);
+    const uint64_t top = sb.num_internal_levels - 1;
+    super_bytes = sizeof(sb);
+    entry_bytes = sb.entry_bytes;
+    region_begin = sb.level_file_offset[0];
+    region_end = sb.level_file_offset[top] +
+                 sb.level_page_count[top] * kInternalPageBytes;
+  }
+
+  // Entry 0 sits in slot 0 of leaf page 0 and in sidecar record 0.
+  uint64_t offset0;
+  {
+    std::ifstream in(index, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(kSuperblockBytes + ZKey::kBytes));
+    in.read(reinterpret_cast<char*>(&offset0), sizeof(offset0));
+  }
+  const size_t series_bytes = 64 * sizeof(Value);
+  ASSERT_EQ(offset0 % series_bytes, 0u);
+  const Series& query = data[offset0 / series_bytes];
+  std::vector<std::pair<double, uint64_t>> oracle;
+  for (size_t i = 0; i < data.size(); ++i) {
+    oracle.push_back({std::sqrt(SquaredEuclidean(data[i].data(), query.data(),
+                                                 query.size())),
+                      i * series_bytes});
+  }
+  std::sort(oracle.begin(), oracle.end());
+
+  struct Region {
+    const char* name;
+    std::string suffix;  // file: index + suffix
+    uint64_t begin, end;
+  };
+  const uint64_t entry0 = kSuperblockBytes;
+  const Region regions[] = {
+      {"superblock", "", 0, super_bytes},
+      {"leaf page", "", entry0 + ZKey::kBytes, entry0 + entry_bytes},
+      {c.trie ? "node table" : "internal levels", "", region_begin,
+       region_end},
+      {"sidecar", ".sax", 0, opts.summary.segments + 8},
+  };
+  std::mt19937_64 rng(0xF11Bu + (c.trie ? 1 : 0) + (c.materialized ? 2 : 0));
+  int copy = 0;
+  for (const Region& r : regions) {
+    // The top byte of a 32-bit little-endian word (all regions are 4-byte
+    // aligned): flipping it moves a float's exponent or an integer's
+    // magnitude, never only a low mantissa bit the 1e-4 tolerance absorbs.
+    const uint64_t at = r.begin + (rng() % ((r.end - r.begin) / 4)) * 4 + 3;
+    SCOPED_TRACE(std::string(r.name) + " byte " + std::to_string(at));
+    const std::string hurt = dir.File("hurt" + std::to_string(copy++));
+    std::filesystem::copy_file(index, hurt);
+    std::filesystem::copy_file(index + ".sax", hurt + ".sax");
+    FlipByte(hurt + r.suffix, at);
+
+    SearchResult res;
+    Status st;
+    if (c.trie) {
+      std::unique_ptr<CoconutTrie> trie;
+      st = CoconutTrie::Open(hurt, raw, &trie);
+      if (st.ok()) st = trie->ExactSearch(query.data(), 1, &res, 3);
+    } else {
+      std::unique_ptr<CoconutTree> tree;
+      st = CoconutTree::Open(hurt, raw, &tree);
+      if (st.ok()) st = tree->ExactSearch(query.data(), 1, &res, 3);
+    }
+    if (!st.ok()) {
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      continue;
+    }
+    ASSERT_EQ(res.neighbors.size(), 3u);
+    for (size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(res.neighbors[j].offset, oracle[j].second) << "neighbor " << j;
+      EXPECT_NEAR(res.neighbors[j].distance, oracle[j].first, 1e-4)
+          << "neighbor " << j;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TrieAndTree, ByteFlipTest,
+    ::testing::Values(FlipCase{true, true}, FlipCase{true, false},
+                      FlipCase{false, true}, FlipCase{false, false}),
+    [](const auto& info) {
+      return std::string(info.param.trie ? "Trie" : "Tree") +
+             (info.param.materialized ? "Full" : "NonMaterialized");
+    });
 
 }  // namespace
 }  // namespace coconut
