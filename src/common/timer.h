@@ -1,5 +1,7 @@
-// Wall-clock stopwatch used by the benchmark harnesses and the obs stage
-// timers.
+// Wall-clock stopwatch used by the benchmark harnesses and the build-phase
+// timers that fill *BuildStats seconds. Instrumented stages use Stage
+// (src/obs/stage.h) instead; tools/lint.py keeps Stopwatch out of the rest
+// of src/.
 #ifndef COCONUT_COMMON_TIMER_H_
 #define COCONUT_COMMON_TIMER_H_
 

@@ -11,8 +11,7 @@
 #include "src/core/knn.h"
 #include "src/io/file.h"
 #include "src/exec/thread_pool.h"
-#include "src/obs/stage_timer.h"
-#include "src/obs/trace.h"
+#include "src/obs/stage.h"
 #include "src/series/distance.h"
 #include "src/summary/invsax.h"
 
@@ -555,8 +554,7 @@ Status CoconutForest::FlushWriterLocked() {
       MetricRegistry::Default().GetHistogram("forest.flush_ns");
   static Counter* flush_entries =
       MetricRegistry::Default().GetCounter("forest.flush_entries");
-  ScopedTimer flush_timer(flush_ns);
-  TraceSpan flush_span("forest.flush", "forest");
+  Stage stage("forest.flush", "forest", flush_ns);
   flush_entries->Add(count);
   std::vector<uint8_t> sorted =
       EncodeSortedRecords(*mem, count, options_.tree);
@@ -719,8 +717,7 @@ Status CoconutForest::CompactWriterLocked() {
       MetricRegistry::Default().GetHistogram("forest.compaction_ns");
   static Histogram* merge_fan_in =
       MetricRegistry::Default().GetHistogram("forest.compaction.merge_fan_in");
-  ScopedTimer compaction_timer(compaction_ns);
-  TraceSpan compaction_span("forest.compaction", "forest");
+  Stage stage("forest.compaction", "forest", compaction_ns);
   merge_fan_in->Record(inputs.size());
   const size_t entry_bytes = LeafEntryBytes(options_.tree);
   const std::string path = RunPath(next_run_id_++);

@@ -20,13 +20,12 @@
 
 #include "src/common/context.h"
 #include "src/common/sync.h"
-#include "src/common/timer.h"
 #include "src/core/knn.h"
 #include "src/core/query_scratch.h"
 #include "src/core/tree_format.h"
 #include "src/io/buffered_io.h"
 #include "src/io/file.h"
-#include "src/obs/trace.h"
+#include "src/obs/stage.h"
 #include "src/series/dataset.h"
 #include "src/series/distance.h"
 #include "src/summary/invsax.h"
@@ -205,18 +204,15 @@ Status SimsApproxSearch(const SimsIndex& ix, const Value* query,
                         const PageEntries& page_entries) {
   if (window == 0) window = 1;
   QueryTrace* const trace = scratch->trace;
-  Stopwatch stage;  // consulted only when tracing
-  TraceStages spans;
+  Stage stage(ix.sites->route, "query", nullptr,
+              trace != nullptr ? &trace->route_ns : nullptr);
   const SummaryOptions& sum = *ix.summary;
   scratch->Prepare(sum.series_length, sum.segments);
   PaaTransform(query, sum.series_length, sum.segments, scratch->paa.data());
   SaxFromPaa(scratch->paa.data(), sum, scratch->sax.data());
   const uint64_t target = route(InvSaxFromSax(scratch->sax.data(), sum));
-  spans.Mark(ix.sites->route, "query");
-  if (trace != nullptr) {
-    trace->route_ns += stage.ElapsedNanos();
-    stage.Restart();
-  }
+  stage.Mark(ix.sites->approx, "query", nullptr,
+             trace != nullptr ? &trace->approx_ns : nullptr);
   // Window of `window` contiguous pages centred on the target (paper: "all
   // data series in a specific radius from this specific point").
   uint64_t lo = target > (window - 1) / 2 ? target - (window - 1) / 2 : 0;
@@ -248,9 +244,8 @@ Status SimsApproxSearch(const SimsIndex& ix, const Value* query,
   knn.Finalize(result);
   result->visited_records = visited;
   result->leaves_read = hi - lo + 1;
-  spans.Mark(ix.sites->approx, "query");
+  stage.End();
   if (trace != nullptr) {
-    trace->approx_ns += stage.ElapsedNanos();
     trace->leaves_visited += hi - lo + 1;
     trace->records_fetched += visited;
   }
@@ -274,9 +269,10 @@ Status SimsExactSearch(const SimsIndex& ix, const Value* query, size_t k,
   KnnCollector knn(k);
   knn.Seed(approx);
 
+  // Refine stage: lower bounds + skip-sequential scan.
   QueryTrace* const trace = scratch->trace;
-  Stopwatch stage;  // refine stage: lower bounds + skip-sequential scan
-  TraceStages spans;
+  Stage stage(ix.sites->refine, "query", nullptr,
+              trace != nullptr ? &trace->refine_ns : nullptr);
   const SummaryOptions& sum = *ix.summary;
   scratch->Prepare(sum.series_length, sum.segments);
   PaaTransform(query, sum.series_length, sum.segments, scratch->paa.data());
@@ -314,9 +310,8 @@ Status SimsExactSearch(const SimsIndex& ix, const Value* query, size_t k,
   knn.Finalize(result);
   result->visited_records = approx.visited_records + visited;
   result->leaves_read = approx.leaves_read + pages_read;
-  spans.Mark(ix.sites->refine, "query");
+  stage.End();
   if (trace != nullptr) {
-    trace->refine_ns += stage.ElapsedNanos();
     trace->leaves_visited += pages_read;
     trace->records_fetched += visited;
     trace->pruned_mindist += ix.num_entries - visited;

@@ -8,7 +8,7 @@
 #include "src/io/retry.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slow_query_log.h"
-#include "src/obs/trace.h"
+#include "src/obs/stage.h"
 
 namespace coconut {
 
@@ -76,19 +76,6 @@ void FlushQueryTrace(const QueryTrace& t, bool exact) {
   m.merge_ns->Add(t.merge_ns);
 }
 
-/// RAII batch bookkeeping: wall-time histogram + batch counter.
-class BatchScope {
- public:
-  BatchScope() = default;
-  ~BatchScope() {
-    Metrics().batch_ns->Record(watch_.ElapsedNanos());
-    Metrics().batches->Increment();
-  }
-
- private:
-  Stopwatch watch_;
-};
-
 /// Runs `one(i, scratch)` for every work index on the pool, collecting the
 /// first failure. Chunks share a per-chunk scratch (of type `Scratch`); the
 /// chunk size keeps a few chunks per thread for load balancing without
@@ -139,11 +126,11 @@ Status RunBatch(ThreadPool* pool, size_t num_items, bool exact,
           // Both clocks start at this item's dispatch (not batch start):
           // wall for end-to-end latency, thread-CPU for oversubscription-
           // independent per-query cost (see QueryTrace::cpu_ns).
-          TraceSpan span(exact ? "query.exact" : "query.approx", "query");
           ThreadCpuStopwatch cpu;
-          Stopwatch watch;
+          Stage stage(exact ? "query.exact" : "query.approx", "query",
+                      nullptr, &trace.total_ns);
           Status st = one(i, &scratch);
-          trace.total_ns = watch.ElapsedNanos();
+          stage.End();
           trace.cpu_ns = cpu.ElapsedNanos();
           scratch.trace = nullptr;
           if (!st.ok()) {
@@ -171,12 +158,22 @@ auto IndexSearch(const Index& index, const QuerySpec& spec) {
 
 }  // namespace
 
-Status QueryEngine::Admit(const std::vector<Series>& queries,
-                          AdmissionController::Ticket* ticket) const {
-  if (admission_ == nullptr) return Status::OK();
-  size_t bytes = 0;
-  for (const Series& q : queries) bytes += q.size() * sizeof(Value);
-  return admission_->Admit(bytes, ticket);
+template <typename Body>
+Status QueryEngine::WithBatchPrologue(const std::vector<Series>& queries,
+                                     std::vector<SearchResult>* results,
+                                     std::vector<QueryTrace>* traces,
+                                     const Body& body) const {
+  AdmissionController::Ticket ticket;
+  if (admission_ != nullptr) {
+    size_t bytes = 0;
+    for (const Series& q : queries) bytes += q.size() * sizeof(Value);
+    COCONUT_RETURN_IF_ERROR(admission_->Admit(bytes, &ticket));
+  }
+  Metrics().batches->Increment();
+  Stage batch(nullptr, nullptr, Metrics().batch_ns);
+  results->assign(queries.size(), SearchResult{});
+  if (traces != nullptr) traces->assign(queries.size(), QueryTrace{});
+  return body();
 }
 
 template <typename Search>
@@ -186,17 +183,14 @@ Status QueryEngine::RunSearchBatch(const std::vector<Series>& queries,
                                    std::vector<QueryTrace>* traces,
                                    const Context& ctx,
                                    const Search& search) const {
-  AdmissionController::Ticket ticket;
-  COCONUT_RETURN_IF_ERROR(Admit(queries, &ticket));
-  BatchScope batch;
-  results->assign(queries.size(), SearchResult{});
-  if (traces != nullptr) traces->assign(queries.size(), QueryTrace{});
   const bool exact = spec.mode == QuerySpec::Mode::kExact;
-  return RunBatch<QueryScratch>(
-      pool_, queries.size(), exact, /*flush_per_item=*/true, traces, ctx,
-      [&](uint64_t i, QueryScratch* scratch) {
-        return search(queries[i].data(), exact, &(*results)[i], scratch);
-      });
+  return WithBatchPrologue(queries, results, traces, [&]() {
+    return RunBatch<QueryScratch>(
+        pool_, queries.size(), exact, /*flush_per_item=*/true, traces, ctx,
+        [&](uint64_t i, QueryScratch* scratch) {
+          return search(queries[i].data(), exact, &(*results)[i], scratch);
+        });
+  });
 }
 
 Status QueryEngine::ExecuteBatch(const CoconutTree& tree,
@@ -262,63 +256,56 @@ Status QueryEngine::ExecuteBatch(const ShardedStore& store,
                                  std::vector<SearchResult>* results,
                                  std::vector<QueryTrace>* traces,
                                  const Context& ctx) const {
-  AdmissionController::Ticket ticket;
-  COCONUT_RETURN_IF_ERROR(Admit(queries, &ticket));
-  BatchScope batch;
-  results->assign(queries.size(), SearchResult{});
-  if (traces != nullptr) traces->assign(queries.size(), QueryTrace{});
-  const size_t num_shards = snapshot.shards.size();
-  if (num_shards != store.num_shards()) {
-    return Status::InvalidArgument("snapshot shard count mismatch");
-  }
-  if (queries.empty()) return Status::OK();
-  if (snapshot.num_entries() == 0) return Status::NotFound("empty store");
-  const bool exact = spec.mode == QuerySpec::Mode::kExact;
+  return WithBatchPrologue(queries, results, traces, [&]() -> Status {
+    const size_t num_shards = snapshot.shards.size();
+    if (num_shards != store.num_shards()) {
+      return Status::InvalidArgument("snapshot shard count mismatch");
+    }
+    if (queries.empty()) return Status::OK();
+    if (snapshot.num_entries() == 0) return Status::NotFound("empty store");
+    const bool exact = spec.mode == QuerySpec::Mode::kExact;
 
-  // Cross-shard routing: the work grid is (query, shard) cells so a batch
-  // saturates the pool even when it is smaller than the thread count; each
-  // cell is an ordinary per-shard search against that shard's snapshot.
-  // Empty shards are skipped (their cell stays a default SearchResult,
-  // which merges as "no candidates").
-  std::vector<SearchResult> cells(queries.size() * num_shards);
-  std::vector<QueryTrace> cell_traces(cells.size());
-  COCONUT_RETURN_IF_ERROR(RunBatch<QueryScratch>(
-      pool_, cells.size(), exact, /*flush_per_item=*/false, &cell_traces, ctx,
-      [&](uint64_t cell, QueryScratch* scratch) {
-        const size_t qi = static_cast<size_t>(cell) / num_shards;
-        const size_t si = static_cast<size_t>(cell) % num_shards;
-        if (snapshot.shards[si].num_entries() == 0) return Status::OK();
-        const Value* q = queries[qi].data();
-        SearchResult* r = &cells[cell];
-        const CoconutForest& shard = store.shard(si);
-        return exact
-                   ? shard.ExactSearch(snapshot.shards[si], q, r, spec.k,
-                                       scratch)
-                   : shard.ApproxSearch(snapshot.shards[si], q,
-                                        spec.approx_leaves, r, spec.k,
-                                        scratch);
-      }));
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const std::vector<SearchResult> per_shard(
-        cells.begin() + qi * num_shards, cells.begin() + (qi + 1) * num_shards);
-    QueryTrace qtrace;
-    for (size_t si = 0; si < num_shards; ++si) {
-      qtrace.MergeFrom(cell_traces[qi * num_shards + si]);
-    }
-    ThreadCpuStopwatch merge_cpu;
-    Stopwatch merge_watch;
-    {
-      TraceSpan merge_span("query.merge", "query");
+    // Cross-shard routing: the work grid is (query, shard) cells so a batch
+    // saturates the pool even when it is smaller than the thread count;
+    // each cell is an ordinary per-shard search against that shard's
+    // snapshot. Empty shards are skipped (their cell stays a default
+    // SearchResult, which merges as "no candidates").
+    std::vector<SearchResult> cells(queries.size() * num_shards);
+    std::vector<QueryTrace> cell_traces(cells.size());
+    COCONUT_RETURN_IF_ERROR(RunBatch<QueryScratch>(
+        pool_, cells.size(), exact, /*flush_per_item=*/false, &cell_traces,
+        ctx, [&](uint64_t cell, QueryScratch* scratch) {
+          const size_t qi = static_cast<size_t>(cell) / num_shards;
+          const size_t si = static_cast<size_t>(cell) % num_shards;
+          if (snapshot.shards[si].num_entries() == 0) return Status::OK();
+          const Value* q = queries[qi].data();
+          SearchResult* r = &cells[cell];
+          const CoconutForest& shard = store.shard(si);
+          return exact
+                     ? shard.ExactSearch(snapshot.shards[si], q, r, spec.k,
+                                         scratch)
+                     : shard.ApproxSearch(snapshot.shards[si], q,
+                                          spec.approx_leaves, r, spec.k,
+                                          scratch);
+        }));
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const std::vector<SearchResult> per_shard(
+          cells.begin() + qi * num_shards,
+          cells.begin() + (qi + 1) * num_shards);
+      QueryTrace qtrace;
+      for (size_t si = 0; si < num_shards; ++si) {
+        qtrace.MergeFrom(cell_traces[qi * num_shards + si]);
+      }
+      ThreadCpuStopwatch merge_cpu;
+      Stage merge("query.merge", "query", nullptr, &qtrace.merge_ns);
       ShardedStore::MergeShardResults(per_shard, spec.k, &(*results)[qi]);
+      qtrace.total_ns += merge.End();
+      qtrace.cpu_ns += merge_cpu.ElapsedNanos();
+      FlushQueryTrace(qtrace, exact);
+      if (traces != nullptr) (*traces)[qi] = qtrace;
     }
-    const uint64_t merge_ns = merge_watch.ElapsedNanos();
-    qtrace.cpu_ns += merge_cpu.ElapsedNanos();
-    qtrace.merge_ns += merge_ns;
-    qtrace.total_ns += merge_ns;
-    FlushQueryTrace(qtrace, exact);
-    if (traces != nullptr) (*traces)[qi] = qtrace;
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 }  // namespace coconut

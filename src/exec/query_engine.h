@@ -49,8 +49,9 @@ struct QuerySpec {
   Mode mode = Mode::kExact;
   /// Neighbors to return per query.
   size_t k = 1;
-  /// Leaf-window radius: the window for kApprox, the seeding radius for
-  /// kExact.
+  /// Leaf-window radius: the window for kApprox, and the seeding window
+  /// for kExact over a tree or trie. Forest and store exact search ignore
+  /// it: every run is seeded from its one target leaf.
   size_t approx_leaves = 1;
 };
 
@@ -136,14 +137,19 @@ class QueryEngine {
                       const Context& ctx = Context::Background()) const;
 
  private:
-  /// Passes the admission gates (no-op without a controller). On success
-  /// `*ticket` holds the batch's budget for the caller's scope.
-  Status Admit(const std::vector<Series>& queries,
-               AdmissionController::Ticket* ticket) const;
+  /// The prologue every batch shares, then `body()`: passes the admission
+  /// gates (no-op without a controller; the ticket holds the batch's
+  /// budget until `body` returns), counts and times the batch
+  /// ("query.batches", "query.batch_ns"), and sizes `results` (and
+  /// `traces`, when non-null) to `queries`.
+  template <typename Body>
+  Status WithBatchPrologue(const std::vector<Series>& queries,
+                           std::vector<SearchResult>* results,
+                           std::vector<QueryTrace>* traces,
+                           const Body& body) const;
 
-  /// The body shared by the tree, trie and forest-snapshot batches: admit,
-  /// then run `search(query, exact, result, scratch)` for every query on
-  /// the pool.
+  /// The body shared by the tree, trie and forest-snapshot batches: run
+  /// `search(query, exact, result, scratch)` for every query on the pool.
   template <typename Search>
   Status RunSearchBatch(const std::vector<Series>& queries,
                         const QuerySpec& spec,

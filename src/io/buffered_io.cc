@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "src/exec/thread_pool.h"
-#include "src/obs/trace.h"
+#include "src/obs/stage.h"
 
 namespace coconut {
 
@@ -57,7 +57,7 @@ Status BufferedWriter::FlushBuffer() {
   buffer_.reserve(capacity_);
   bytes_written_ += flush_buffer_.size();
   flush_task_ = std::make_shared<OneShotTask>([this]() {
-    TraceSpan span("io.async_flush", "io");
+    Stage stage("io.async_flush", "io");
     flush_status_ = file_->Append(flush_buffer_.data(), flush_buffer_.size());
   });
   OneShotTask::Schedule(pool_, flush_task_);
@@ -96,7 +96,7 @@ void BufferedReader::SchedulePrefetch() {
   prefetch_len_ =
       static_cast<size_t>(std::min<uint64_t>(limit_ - off, capacity_));
   prefetch_task_ = std::make_shared<OneShotTask>([this]() {
-    TraceSpan span("io.prefetch", "io");
+    Stage stage("io.prefetch", "io");
     prefetch_status_ =
         file_->Read(prefetch_offset_, prefetch_len_, next_buffer_.data());
   });

@@ -10,8 +10,7 @@
 #include "src/io/io_stats.h"
 #include "src/io/retry.h"
 #include "src/obs/metrics.h"
-#include "src/obs/stage_timer.h"
-#include "src/obs/trace.h"
+#include "src/obs/stage.h"
 #include "src/summary/invsax.h"
 
 namespace coconut {
@@ -410,9 +409,7 @@ Status ShardedStore::CommitCrossShardLocked(
       MetricRegistry::Default().GetHistogram("store.commit.publish_ns");
   static Counter* epochs =
       MetricRegistry::Default().GetCounter("store.commit.epochs");
-  ScopedTimer epoch_timer(epoch_ns);
-  TraceSpan epoch_span("store.commit.epoch", "store");
-  TraceStages commit_spans;
+  Stage epoch_stage("store.commit.epoch", "store", epoch_ns);
 
   std::vector<size_t> touched;
   for (size_t i = 0; i < buckets.size(); ++i) {
@@ -453,7 +450,7 @@ Status ShardedStore::CommitCrossShardLocked(
     // separately in src/store/journal.cc.
     IoComponentScope io_scope("commit");
     IoDeadlineScope io_deadline(stage_ctx);
-    TraceSpan stage_span("store.shard_stage", "store");
+    Stage stage("store.shard_stage", "store");
     // A deadline firing here fails this shard's stage exactly like an
     // injected stage error: the epoch tears, the store poisons, and reopen
     // rolls every staged slice back — nothing is ever published.
@@ -462,7 +459,7 @@ Status ShardedStore::CommitCrossShardLocked(
         Failpoints::Default().Hit("store.commit.shard_stage", i));
     return shards_[i]->StageBatch(buckets[i], &staged[i]);
   };
-  Stopwatch stage_watch;
+  Stage staging("store.commit.stage", "store", stage_ns);
   std::vector<std::future<Status>> pending;
   for (size_t t = 1; t < touched.size(); ++t) {
     const size_t i = touched[t];
@@ -472,8 +469,7 @@ Status ShardedStore::CommitCrossShardLocked(
   for (size_t t = 1; t < touched.size(); ++t) {
     stage_status[touched[t]] = pending[t - 1].get();
   }
-  stage_ns->Record(stage_watch.ElapsedNanos());
-  commit_spans.Mark("store.commit.stage", "store");
+  staging.End();
   std::string failed;
   bool ctx_deadline = false;
   bool ctx_cancel = false;
@@ -527,8 +523,7 @@ Status ShardedStore::CommitCrossShardLocked(
   //    unpublished — journal-committed, so reopen recovers it, exactly the
   //    kAfterJournalCommit crash shape.
   {
-    ScopedTimer publish_timer(publish_ns);
-    TraceSpan publish_span("store.commit.publish", "store");
+    Stage stage("store.commit.publish", "store", publish_ns);
     WriterLock visibility_lock(&visibility_mu_);
     for (size_t i : touched) {
       if (!shards_[i]->StagedFits(staged[i])) {
@@ -621,8 +616,7 @@ Status ShardedStore::CommitManifestLocked() {
 Status ShardedStore::Flush(const Context& ctx) {
   static Histogram* flush_ns =
       MetricRegistry::Default().GetHistogram("store.flush_ns");
-  ScopedTimer flush_timer(flush_ns);
-  TraceSpan flush_span("store.flush", "store");
+  Stage stage("store.flush", "store", flush_ns);
   MutexLock commit_lock(&commit_mu_);
   COCONUT_RETURN_IF_ERROR(PoisonStatus());
   COCONUT_RETURN_IF_ERROR(QuarantineWriteCheck());

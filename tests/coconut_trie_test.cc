@@ -24,6 +24,7 @@ namespace {
 using testing::BruteForceNn;
 using testing::MakeDatasetFile;
 using testing::ScratchDir;
+using testing::TortureSeed;
 
 struct TrieCase {
   DatasetKind kind;
@@ -380,8 +381,11 @@ TEST_P(ByteFlipTest, FlipIsDetectedOrAnswerStaysExact) {
   // series), the node table (trie) or internal levels (tree), and sidecar
   // record 0. The query is entry 0's own series, so every region feeds the
   // answer. Each copy must then fail to open or search with Corruption, or
-  // return the brute-force 3-NN.
+  // return the brute-force 3-NN. The flip positions come from
+  // COCONUT_TORTURE_SEED, so the fault-torture job sweeps them.
   const FlipCase c = GetParam();
+  const uint64_t seed = TortureSeed();
+  SCOPED_TRACE("COCONUT_TORTURE_SEED=" + std::to_string(seed));
   ScratchDir dir;
   const std::string raw = dir.File("data.bin");
   const std::vector<Series> data =
@@ -444,7 +448,7 @@ TEST_P(ByteFlipTest, FlipIsDetectedOrAnswerStaysExact) {
        region_end},
       {"sidecar", ".sax", 0, opts.summary.segments + 8},
   };
-  std::mt19937_64 rng(0xF11Bu + (c.trie ? 1 : 0) + (c.materialized ? 2 : 0));
+  std::mt19937_64 rng(seed * 4 + (c.trie ? 1 : 0) + (c.materialized ? 2 : 0));
   int copy = 0;
   for (const Region& r : regions) {
     // The top byte of a 32-bit little-endian word (all regions are 4-byte

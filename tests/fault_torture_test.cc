@@ -21,7 +21,6 @@
 // fixed set of seeds so a red run names the seed to replay locally.
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -41,15 +40,10 @@ namespace coconut {
 namespace {
 
 using testing::ScratchDir;
+using testing::TortureSeed;
 
 constexpr size_t kSeriesLen = 64;
 constexpr size_t kTopK = 5;
-
-uint64_t TortureSeed() {
-  const char* env = std::getenv("COCONUT_TORTURE_SEED");
-  if (env == nullptr || *env == '\0') return 1;
-  return std::strtoull(env, nullptr, 10);
-}
 
 StoreOptions TortureOptions(const ScratchDir& dir) {
   StoreOptions opts;

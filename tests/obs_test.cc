@@ -1,7 +1,8 @@
 // Metric registry (src/obs/): histogram bucket math and percentile accuracy
 // against a sorted-vector oracle, wait-free concurrent recording, snapshot
-// merge/delta round-trips, exposition formats, and end-to-end QueryEngine
-// integration (per-query traces and registry counters for a real batch).
+// merge/delta round-trips, exposition formats, Stage feeding one segment to
+// a histogram and a sink, and end-to-end QueryEngine integration (per-query
+// traces and registry counters for a real batch).
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -17,7 +18,7 @@
 #include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/query_trace.h"
-#include "src/obs/stage_timer.h"
+#include "src/obs/stage.h"
 #include "tests/test_util.h"
 
 namespace coconut {
@@ -260,27 +261,51 @@ TEST(MetricRegistry, PrometheusBucketsStayCumulativeAcrossOctaves) {
   EXPECT_NE(prom.find("coconut_wide_lat_ns_count 5"), std::string::npos);
 }
 
-// --- Timers ---
+// --- Stage consumers ---
 
-TEST(ScopedTimer, RecordsElapsedIntoHistogram) {
+TEST(Stage, FeedsOneSegmentToHistogramAndSink) {
   Histogram h;
+  uint64_t sink = 1000;  // a sink accumulates (+=), never overwrites
+  uint64_t dur = 0;
   {
-    ScopedTimer t(&h);
-  }
-  EXPECT_EQ(h.Snapshot().count, 1u);
+    Stage stage(nullptr, nullptr, &h, &sink);
+    dur = stage.End();
+  }  // already ended: the destructor records nothing more
+  const HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.sum, dur);  // histogram and sink saw the same segment
+  EXPECT_EQ(sink, 1000 + dur);
   {
-    ScopedTimer t(nullptr);  // null sink is a no-op, not a crash
+    Stage stage(nullptr, nullptr, &h);  // RAII: closes at scope exit
   }
-  uint64_t sink = 0;
+  EXPECT_EQ(h.Snapshot().count, 2u);
   {
-    ScopedStageTimer t(&sink);
+    Stage stage(nullptr, nullptr, nullptr, nullptr);  // null consumers
+    EXPECT_EQ(stage.End(), 0u);
   }
+}
+
+TEST(Stage, MarkRoutesEachSegmentToItsOwnConsumers) {
+  Histogram first_hist, second_hist;
+  uint64_t first = 0, second = 0;
   {
-    ScopedStageTimer t(&sink);  // accumulates, not overwrites
+    Stage stage(nullptr, nullptr, &first_hist, &first);
+    stage.Mark(nullptr, nullptr, &second_hist, &second);
+    EXPECT_EQ(stage.End(), second);
   }
-  EXPECT_GE(sink, 0u);
-  Stopwatch w;
-  EXPECT_GE(w.ElapsedNanos() + 1, 1u);  // monotone, non-crashing
+  EXPECT_EQ(first_hist.Snapshot().count, 1u);
+  EXPECT_EQ(first_hist.Snapshot().sum, first);
+  EXPECT_EQ(second_hist.Snapshot().count, 1u);
+  EXPECT_EQ(second_hist.Snapshot().sum, second);
+  // A timed segment after an untimed one (no clock read at open) is still
+  // recorded, and vice versa.
+  Histogram late;
+  {
+    Stage stage(nullptr, nullptr);
+    stage.Mark(nullptr, nullptr, &late);
+    stage.Mark(nullptr, nullptr);
+  }
+  EXPECT_EQ(late.Snapshot().count, 1u);
 }
 
 // --- QueryEngine integration: a real batch populates traces + registry ---

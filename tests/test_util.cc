@@ -1,5 +1,6 @@
 #include "tests/test_util.h"
 
+#include <cstdlib>
 #include <limits>
 
 #include "src/series/distance.h"
@@ -33,6 +34,12 @@ std::vector<Series> MakeDatasetFile(const std::string& path, DatasetKind kind,
   st = writer.Finish();
   EXPECT_TRUE(st.ok()) << st.ToString();
   return data;
+}
+
+uint64_t TortureSeed() {
+  const char* env = std::getenv("COCONUT_TORTURE_SEED");
+  if (env == nullptr || *env == '\0') return 1;
+  return std::strtoull(env, nullptr, 10);
 }
 
 std::pair<size_t, double> BruteForceNn(const std::vector<Series>& data,

@@ -4,6 +4,7 @@
 #ifndef COCONUT_TESTS_TEST_UTIL_H_
 #define COCONUT_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,10 @@ class ScratchDir {
 std::vector<Series> MakeDatasetFile(const std::string& path, DatasetKind kind,
                                     size_t count, size_t length,
                                     uint64_t seed);
+
+/// Seed for the randomized torture tests, from COCONUT_TORTURE_SEED
+/// (default 1), so a failing run replays from the seed it names.
+uint64_t TortureSeed();
 
 /// Brute-force exact nearest neighbor: returns the index of the closest
 /// series and its (non-squared) Euclidean distance.

@@ -1,25 +1,33 @@
-// Span tracer (src/obs/trace.h): flight-recorder ring wraparound, drain
-// windowing, disabled-path inertness, Chrome trace-event JSON shape, and
+// Span tracer (src/obs/trace.h) and the Stage spans it records
+// (src/obs/stage.h): flight-recorder ring wraparound, drain windowing,
+// disabled-path inertness, contiguous Mark segments, Chrome trace-event
+// JSON shape, span/QueryTrace agreement through QueryEngine, and
 // ThreadPool flow-event pairing across real worker threads (a
 // ThreadSanitizer target, see .github/workflows/ci.yml).
 #include "src/obs/trace.h"
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/core/coconut_tree.h"
+#include "src/core/coconut_trie.h"
+#include "src/exec/query_engine.h"
 #include "src/exec/thread_pool.h"
+#include "src/obs/stage.h"
+#include "tests/test_util.h"
 
 namespace coconut {
 namespace {
 
 // --- Ring semantics (private Tracer instances; Record* writes land in the
 // calling thread's ring regardless of the enabled flag, which only gates
-// the TraceSpan/TraceStages call sites) ---
+// the Stage call sites) ---
 
 TEST(Tracer, RingWrapsKeepingTheLatestEvents) {
   Tracer tracer(16);  // capacity is already a power of two
@@ -108,35 +116,123 @@ TEST(Tracer, JsonIsChromeTraceEventFormat) {
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
 }
 
-// --- Disabled path ---
+// --- Stage spans ---
 
-TEST(TraceSpan, InertWhileTracingDisabled) {
-  Tracer::Default().Stop();
-  TraceSpan span("should.not.record", "test");
-  EXPECT_FALSE(span.active());
+/// Spans on any thread named `prefix`* with ts_ns >= since_ns.
+std::vector<TraceEvent> SpansSince(uint64_t since_ns,
+                                   const std::string& prefix) {
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& e : Tracer::Default().DrainEvents(since_ns)) {
+    if (e.phase == 'X' && std::string(e.name).rfind(prefix, 0) == 0) {
+      out.push_back(e);
+    }
+  }
+  return out;
 }
 
-TEST(TraceStages, MarksRecordContiguousSegments) {
+TEST(Stage, RecordsNoSpanWhileTracingDisabled) {
+  Tracer::Default().Stop();
+  const uint64_t t0 = Tracer::NowNanos();
+  uint64_t sink = 0;
+  {
+    Stage stage("inert.one", "test");
+    stage.Mark("inert.two", "test", nullptr, &sink);  // timed, still no span
+  }
+  EXPECT_TRUE(SpansSince(t0, "inert.").empty());
+}
+
+TEST(Stage, MarksRecordContiguousSegments) {
   Tracer& tracer = Tracer::Default();
   const uint64_t t0 = Tracer::NowNanos();
   tracer.Start();
+  uint64_t one = 0, two = 0;
   {
-    TraceStages stages;
-    stages.Mark("stage.one", "test");
-    stages.Mark("stage.two", "test");
+    Stage stage("stage.one", "test", nullptr, &one);
+    stage.Mark("stage.two", "test", nullptr, &two);
   }
   tracer.Stop();
-  const std::vector<TraceEvent> events = tracer.DrainEvents(t0);
-  std::vector<TraceEvent> stages;
-  for (const TraceEvent& e : events) {
-    if (std::string(e.name).rfind("stage.", 0) == 0) stages.push_back(e);
-  }
+  const std::vector<TraceEvent> stages = SpansSince(t0, "stage.");
   ASSERT_EQ(stages.size(), 2u);
   EXPECT_STREQ(stages[0].name, "stage.one");
   EXPECT_STREQ(stages[1].name, "stage.two");
-  // Second segment starts exactly where the first ended.
+  // Second segment starts exactly where the first ended, and each sink got
+  // exactly its span's duration.
   EXPECT_EQ(stages[1].ts_ns, stages[0].ts_ns + stages[0].dur_ns);
+  EXPECT_EQ(stages[0].dur_ns, one);
+  EXPECT_EQ(stages[1].dur_ns, two);
 }
+
+// --- Spans and QueryTrace fields agree ---
+
+class SpanTraceAgreementTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SpanTraceAgreementTest, StageSpansSumToTraceFields) {
+  // Single exact queries through QueryEngine with tracing on: each query's
+  // QueryTrace stage fields must equal, to the nanosecond, the summed
+  // durations of the spans that stage recorded.
+  const bool trie = GetParam();
+  const std::string index = trie ? "trie." : "tree.";
+  testing::ScratchDir dir;
+  const std::string raw = dir.File("data.bin");
+  const std::vector<Series> data = testing::MakeDatasetFile(
+      raw, DatasetKind::kRandomWalk, 800, 64, 17);
+  CoconutOptions opts;
+  opts.summary.series_length = 64;
+  opts.summary.segments = 8;
+  opts.leaf_capacity = 32;
+  opts.tmp_dir = dir.path();
+  std::unique_ptr<CoconutTree> tree;
+  std::unique_ptr<CoconutTrie> trie_index;
+  if (trie) {
+    ASSERT_OK(CoconutTrie::Build(raw, dir.File("ix"), opts));
+    ASSERT_OK(CoconutTrie::Open(dir.File("ix"), raw, &trie_index));
+  } else {
+    ASSERT_OK(CoconutTree::Build(raw, dir.File("ix"), opts));
+    ASSERT_OK(CoconutTree::Open(dir.File("ix"), raw, &tree));
+  }
+
+  ThreadPool pool(2);
+  QueryEngine engine(&pool);
+  QuerySpec spec;
+  spec.mode = QuerySpec::Mode::kExact;
+  Tracer& tracer = Tracer::Default();
+  tracer.Start();
+  for (size_t q = 0; q < 20; ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    const std::vector<Series> batch = {data[q * 37]};
+    std::vector<SearchResult> results;
+    std::vector<QueryTrace> traces;
+    const uint64_t t0 = Tracer::NowNanos();
+    ASSERT_OK(trie ? engine.ExecuteBatch(*trie_index, batch, spec, &results,
+                                         &traces)
+                   : engine.ExecuteBatch(*tree, batch, spec, &results,
+                                         &traces));
+    ASSERT_EQ(traces.size(), 1u);
+    auto summed = [&](const std::string& name) {
+      uint64_t sum = 0;
+      size_t n = 0;
+      for (const TraceEvent& e : SpansSince(t0, name)) {
+        if (name != e.name) continue;
+        sum += e.dur_ns;
+        ++n;
+      }
+      EXPECT_GT(n, 0u) << name;
+      return sum;
+    };
+    const QueryTrace& t = traces[0];
+    EXPECT_EQ(t.route_ns, summed(index + "route"));
+    EXPECT_EQ(t.approx_ns, summed(index + "approx"));
+    EXPECT_EQ(t.refine_ns, summed(index + "refine"));
+    EXPECT_EQ(t.total_ns, summed("query.exact"));
+  }
+  tracer.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(TreeAndTrie, SpanTraceAgreementTest,
+                         ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return std::string(info.param ? "Trie" : "Tree");
+                         });
 
 // --- ThreadPool flow events across real threads ---
 

@@ -14,6 +14,10 @@ Rules (see docs/CONCURRENCY.md and src/obs/README.md):
   metric-name   Metric names are lowercase dotted paths; histograms carry a
                 `_ns` suffix unless allowlisted as dimensionless.
   include-guard Headers use COCONUT_<PATH>_H_ guards.
+  stage-timer   Stopwatch is allowed under src/ only in the files listed in
+                STOPWATCH_FILES; every other stage is timed by Stage
+                (src/obs/stage.h), which reads one clock for its span,
+                histogram and QueryTrace field.
 
 A finding on one specific line can be suppressed with a trailing comment:
 
@@ -32,6 +36,20 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # suffix rule does not apply. Keep this list short and justified.
 DIMENSIONLESS_HISTOGRAMS = {
     "forest.compaction.merge_fan_in",  # counts input runs, not time
+}
+
+# The only files under src/ that may use Stopwatch, each with its reason.
+# Keep this list short: a stage timed anywhere else belongs to Stage
+# (src/obs/stage.h), so its span, histogram and QueryTrace field agree.
+STOPWATCH_FILES = {
+    "src/common/timer.h": "defines Stopwatch",
+    # Build phase timers: they fill *BuildStats seconds, which the benches
+    # and perfbench read.
+    "src/core/coconut_tree_builder.cc": "TreeBuildStats phase seconds",
+    "src/core/coconut_trie.cc": "TrieBuildStats phase seconds",
+    "src/baselines/ads/ads_index.cc": "AdsBuildStats phase seconds",
+    "src/baselines/rtree/rtree.cc": "RtreeBuildStats phase seconds",
+    "src/baselines/vertical/vertical_index.cc": "VerticalBuildStats seconds",
 }
 
 # First path segment of every metric registered from src/ (the component
@@ -55,6 +73,7 @@ RAW_SYNC_RE = re.compile(
     r"shared_lock|scoped_lock)\b"
 )
 RAW_THREAD_RE = re.compile(r"std::thread\b(?!::)")
+STOPWATCH_RE = re.compile(r"\bStopwatch\b")
 METRIC_CALL_RE = re.compile(
     r"Get(Counter|Gauge|Histogram)\(\s*\"([^\"]+)\"")
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
@@ -117,6 +136,7 @@ def check_file(path, findings):
 
     in_common = relpath.startswith("src/common/")
     in_exec = relpath.startswith("src/exec/")
+    stopwatch_ok = relpath in STOPWATCH_FILES
 
     pending_allow = set()
     for lineno, raw in enumerate(lines, start=1):
@@ -145,6 +165,13 @@ def check_file(path, findings):
                      "std::thread outside src/common/ and src/exec/; use "
                      "ThreadPool, or justify with "
                      "// coconut-lint: allow(raw-thread)"))
+        # No per-line allow(): STOPWATCH_FILES is the only way in.
+        if not stopwatch_ok and STOPWATCH_RE.search(code):
+            findings.append(
+                (relpath, lineno, "stage-timer",
+                 "Stopwatch outside the files allowed in tools/lint.py "
+                 "STOPWATCH_FILES; time the stage with Stage "
+                 "(src/obs/stage.h)"))
         for m in METRIC_CALL_RE.finditer(raw):
             kind, name = m.group(1), m.group(2)
             if "metric-name" in allow:
