@@ -90,6 +90,10 @@ class Status {
 
   Code code() const { return code_; }
   const std::string& message() const { return msg_; }
+  /// The same code with `msg` as the message.
+  Status WithMessage(std::string msg) const {
+    return Status(code_, std::move(msg));
+  }
 
   /// Renders "OK" or "<code>: <message>" for logs and test failures.
   std::string ToString() const;

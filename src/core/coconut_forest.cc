@@ -779,15 +779,11 @@ uint64_t CoconutForest::memtable_size() const {
   return memtable_count_;
 }
 
-Status CoconutForest::ExactSearch(const Value* query, SearchResult* result,
-                                  size_t k) const {
-  return ExactSearch(GetSnapshot(), query, result, k);
-}
-
-Status CoconutForest::ExactSearch(const Snapshot& snapshot,
-                                  const Value* query, SearchResult* result,
-                                  size_t k,
-                                  QueryScratch* scratch) const {
+template <typename RunSearch>
+Status CoconutForest::SearchParts(const Snapshot& snapshot, const Value* query,
+                                  size_t k, QueryScratch* scratch,
+                                  SearchResult* result,
+                                  const RunSearch& search_run) const {
   if (snapshot.num_entries() == 0) return Status::NotFound("empty forest");
   QueryScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
@@ -805,11 +801,11 @@ Status CoconutForest::ExactSearch(const Snapshot& snapshot,
     t->memtable_scanned += snapshot.memtable_count;
     t->records_fetched += snapshot.memtable_count;
   }
-  // Runs: per-run exact k-NN answers; runs partition the data, so the
-  // merged top-k is the global top-k.
+  // Runs: per-run k-NN answers; runs partition the data, so the merged
+  // top-k of per-run exact answers is the global top-k.
   for (const auto& run : snapshot.runs) {
     SearchResult r;
-    COCONUT_RETURN_IF_ERROR(run->ExactSearch(query, 1, &r, k, scratch));
+    COCONUT_RETURN_IF_ERROR(search_run(*run, &r, scratch));
     visited += r.visited_records;
     leaves_read += r.leaves_read;
     knn.Seed(r);
@@ -818,6 +814,22 @@ Status CoconutForest::ExactSearch(const Snapshot& snapshot,
   result->visited_records = visited;
   result->leaves_read = leaves_read;
   return Status::OK();
+}
+
+Status CoconutForest::ExactSearch(const Value* query, SearchResult* result,
+                                  size_t k) const {
+  return ExactSearch(GetSnapshot(), query, result, k);
+}
+
+Status CoconutForest::ExactSearch(const Snapshot& snapshot,
+                                  const Value* query, SearchResult* result,
+                                  size_t k,
+                                  QueryScratch* scratch) const {
+  return SearchParts(snapshot, query, k, scratch, result,
+                     [&](const CoconutTree& run, SearchResult* r,
+                         QueryScratch* s) {
+                       return run.ExactSearch(query, 1, r, k, s);
+                     });
 }
 
 Status CoconutForest::ApproxSearch(const Value* query, size_t num_leaves,
@@ -829,34 +841,11 @@ Status CoconutForest::ApproxSearch(const Snapshot& snapshot,
                                    const Value* query, size_t num_leaves,
                                    SearchResult* result, size_t k,
                                    QueryScratch* scratch) const {
-  if (snapshot.num_entries() == 0) return Status::NotFound("empty forest");
-  QueryScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  const size_t n = options_.tree.summary.series_length;
-  KnnCollector knn(k);
-  uint64_t visited = 0;
-  uint64_t leaves_read = 0;
-  for (size_t i = 0; i < snapshot.memtable_count; ++i) {
-    const MemEntry& e = (*snapshot.memtable)[i];
-    knn.Offer(e.offset, SquaredEuclidean(e.series.data(), query, n));
-    ++visited;
-  }
-  if (QueryTrace* t = scratch->trace) {
-    t->memtable_scanned += snapshot.memtable_count;
-    t->records_fetched += snapshot.memtable_count;
-  }
-  for (const auto& run : snapshot.runs) {
-    SearchResult r;
-    COCONUT_RETURN_IF_ERROR(
-        run->ApproxSearch(query, num_leaves, &r, k, scratch));
-    visited += r.visited_records;
-    leaves_read += r.leaves_read;
-    knn.Seed(r);
-  }
-  knn.Finalize(result);
-  result->visited_records = visited;
-  result->leaves_read = leaves_read;
-  return Status::OK();
+  return SearchParts(snapshot, query, k, scratch, result,
+                     [&](const CoconutTree& run, SearchResult* r,
+                         QueryScratch* s) {
+                       return run.ApproxSearch(query, num_leaves, r, k, s);
+                     });
 }
 
 }  // namespace coconut

@@ -221,6 +221,13 @@ class CoconutForest {
       std::vector<uint8_t>* out) const REQUIRES(writer_mu_)
       EXCLUDES(state_mu_);
   std::string RunPath(uint64_t id) const;
+  /// The body ExactSearch and ApproxSearch share: brute-force the
+  /// snapshot's memtable, then merge `search_run(run, &r, scratch)` over
+  /// every run into the top-k.
+  template <typename RunSearch>
+  Status SearchParts(const Snapshot& snapshot, const Value* query, size_t k,
+                     QueryScratch* scratch, SearchResult* result,
+                     const RunSearch& search_run) const;
 
   /// Writer-path reads of reader-guarded state. writer_mu_ already excludes
   /// every mutator (all mutation happens with both locks held), but the

@@ -267,38 +267,28 @@ Status QueryEngine::ExecuteBatch(const ShardedStore& store,
 
     // Cross-shard routing: the work grid is (query, shard) cells so a batch
     // saturates the pool even when it is smaller than the thread count;
-    // each cell is an ordinary per-shard search against that shard's
-    // snapshot. Empty shards are skipped (their cell stays a default
-    // SearchResult, which merges as "no candidates").
+    // each cell is the store's own per-shard step, as in a direct search.
     std::vector<SearchResult> cells(queries.size() * num_shards);
     std::vector<QueryTrace> cell_traces(cells.size());
     COCONUT_RETURN_IF_ERROR(RunBatch<QueryScratch>(
         pool_, cells.size(), exact, /*flush_per_item=*/false, &cell_traces,
         ctx, [&](uint64_t cell, QueryScratch* scratch) {
           const size_t qi = static_cast<size_t>(cell) / num_shards;
-          const size_t si = static_cast<size_t>(cell) % num_shards;
-          if (snapshot.shards[si].num_entries() == 0) return Status::OK();
-          const Value* q = queries[qi].data();
-          SearchResult* r = &cells[cell];
-          const CoconutForest& shard = store.shard(si);
-          return exact
-                     ? shard.ExactSearch(snapshot.shards[si], q, r, spec.k,
-                                         scratch)
-                     : shard.ApproxSearch(snapshot.shards[si], q,
-                                          spec.approx_leaves, r, spec.k,
-                                          scratch);
+          return store.SearchShard(snapshot, cell % num_shards,
+                                   queries[qi].data(), exact,
+                                   spec.approx_leaves, spec.k, &cells[cell],
+                                   scratch);
         }));
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const std::vector<SearchResult> per_shard(
-          cells.begin() + qi * num_shards,
-          cells.begin() + (qi + 1) * num_shards);
       QueryTrace qtrace;
       for (size_t si = 0; si < num_shards; ++si) {
         qtrace.MergeFrom(cell_traces[qi * num_shards + si]);
       }
       ThreadCpuStopwatch merge_cpu;
       Stage merge("query.merge", "query", nullptr, &qtrace.merge_ns);
-      ShardedStore::MergeShardResults(per_shard, spec.k, &(*results)[qi]);
+      ShardedStore::MergeShardResults(snapshot,
+                                      {&cells[qi * num_shards], num_shards},
+                                      spec.k, &(*results)[qi]);
       qtrace.total_ns += merge.End();
       qtrace.cpu_ns += merge_cpu.ElapsedNanos();
       FlushQueryTrace(qtrace, exact);

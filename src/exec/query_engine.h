@@ -9,9 +9,9 @@
 // inserting/flushing/compacting underneath. Store batches do the same with
 // one ShardedStore::Snapshot, and additionally fan each query out across
 // the per-shard snapshots: the work grid is (query x shard) cells under
-// ParallelFor, with per-query results merged through KnnCollector
-// (ShardedStore::MergeShardResults), so even a single expensive query uses
-// every core.
+// ParallelFor, so even a single expensive query uses every core. Cells and
+// merges are ShardedStore::SearchShard/MergeShardResults, so a store batch
+// quarantines and degrades exactly like ShardedStore::ExactSearch.
 //
 // Batch visibility: a store snapshot is captured under the store's
 // visibility lock and is stamped with the last committed cross-shard epoch

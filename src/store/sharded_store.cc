@@ -43,25 +43,11 @@ ZKey ShardLowerBound(size_t index, size_t num_shards) {
 }
 
 /// Prefixes a shard failure with the shard id so callers can tell WHICH
-/// shard of a routed write failed.
+/// shard of a routed write or a search failed; the status code is kept.
 Status TagShard(size_t shard, const Status& st) {
   if (st.ok()) return st;
-  const std::string msg = "shard " + std::to_string(shard) + ": " +
-                          st.ToString();
-  switch (st.code()) {
-    case Status::Code::kInvalidArgument:
-      return Status::InvalidArgument(msg);
-    case Status::Code::kCorruption:
-      return Status::Corruption(msg);
-    case Status::Code::kNotFound:
-      return Status::NotFound(msg);
-    case Status::Code::kNotSupported:
-      return Status::NotSupported(msg);
-    case Status::Code::kInternal:
-      return Status::Internal(msg);
-    default:
-      return Status::IOError(msg);
-  }
+  return st.WithMessage("shard " + std::to_string(shard) + ": " +
+                        st.ToString());
 }
 
 }  // namespace
@@ -672,31 +658,59 @@ uint64_t ShardedStore::num_entries() const {
   return total;
 }
 
-void ShardedStore::MergeShardResults(const std::vector<SearchResult>& per_shard,
+Status ShardedStore::SearchShard(const Snapshot& snapshot, size_t i,
+                                 const Value* query, bool exact,
+                                 size_t num_leaves, size_t k,
+                                 SearchResult* cell,
+                                 QueryScratch* scratch) const {
+  if (!shards_[i]) {
+    cell->degraded = true;  // quarantined at open
+    return Status::OK();
+  }
+  const CoconutForest::Snapshot& part = snapshot.shards[i];
+  if (part.num_entries() == 0) return Status::OK();
+  Status st =
+      exact ? shards_[i]->ExactSearch(part, query, cell, k, scratch)
+            : shards_[i]->ApproxSearch(part, query, num_leaves, cell, k,
+                                       scratch);
+  if (st.ok()) return st;
+  if (st.code() == Status::Code::kCorruption) {
+    // A checksum failure surfacing mid-query quarantines the shard and the
+    // search continues over the rest — one bad device must not take reads
+    // down store-wide. (Non-corruption errors still propagate.)
+    QuarantineShard(i, TagShard(i, st));
+    *cell = SearchResult{};
+    cell->degraded = true;
+    return Status::OK();
+  }
+  return TagShard(i, st);
+}
+
+void ShardedStore::MergeShardResults(const Snapshot& snapshot,
+                                     std::span<const SearchResult> cells,
                                      size_t k, SearchResult* out) {
   KnnCollector knn(k);
   uint64_t visited = 0;
   uint64_t leaves_read = 0;
-  for (size_t s = 0; s < per_shard.size(); ++s) {
-    visited += per_shard[s].visited_records;
-    leaves_read += per_shard[s].leaves_read;
-    for (const Neighbor& nb : per_shard[s].neighbors) {
+  bool degraded = snapshot.degraded;
+  for (size_t s = 0; s < cells.size(); ++s) {
+    visited += cells[s].visited_records;
+    leaves_read += cells[s].leaves_read;
+    degraded = degraded || cells[s].degraded;
+    for (const Neighbor& nb : cells[s].neighbors) {
       knn.Offer(EncodeOffset(s, nb.offset), nb.distance * nb.distance);
     }
   }
   knn.Finalize(out);
   out->visited_records = visited;
   out->leaves_read = leaves_read;
+  out->degraded = degraded;
 }
 
-Status ShardedStore::ExactSearch(const Value* query, SearchResult* result,
-                                 size_t k) const {
-  return ExactSearch(GetSnapshot(), query, result, k);
-}
-
-Status ShardedStore::ExactSearch(const Snapshot& snapshot, const Value* query,
-                                 SearchResult* result, size_t k,
-                                 QueryScratch* scratch) const {
+Status ShardedStore::Search(const Snapshot& snapshot, const Value* query,
+                            bool exact, size_t num_leaves, size_t k,
+                            SearchResult* result,
+                            QueryScratch* scratch) const {
   if (snapshot.shards.size() != shards_.size()) {
     return Status::InvalidArgument("snapshot shard count mismatch");
   }
@@ -707,30 +721,24 @@ Status ShardedStore::ExactSearch(const Snapshot& snapshot, const Value* query,
   // yields the global top-k (the forest's per-run argument, one level up).
   // Over a degraded snapshot the same merge is exact over the HEALTHY
   // shards only, and the result says so.
-  bool degraded = snapshot.degraded;
-  std::vector<SearchResult> per_shard(shards_.size());
+  std::vector<SearchResult> cells(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]) {
-      degraded = true;
-      continue;
-    }
-    if (snapshot.shards[i].num_entries() == 0) continue;
-    const Status st = shards_[i]->ExactSearch(
-        snapshot.shards[i], query, &per_shard[i], k, scratch);
-    if (st.code() == Status::Code::kCorruption) {
-      // A checksum failure surfacing mid-query quarantines the shard and
-      // the search continues over the rest — one bad device must not take
-      // reads down store-wide. (Non-corruption errors still propagate.)
-      QuarantineShard(i, TagShard(i, st));
-      per_shard[i] = SearchResult{};
-      degraded = true;
-      continue;
-    }
-    COCONUT_RETURN_IF_ERROR(TagShard(i, st));
+    COCONUT_RETURN_IF_ERROR(SearchShard(snapshot, i, query, exact, num_leaves,
+                                        k, &cells[i], scratch));
   }
-  MergeShardResults(per_shard, k, result);
-  result->degraded = degraded;
+  MergeShardResults(snapshot, cells, k, result);
   return Status::OK();
+}
+
+Status ShardedStore::ExactSearch(const Value* query, SearchResult* result,
+                                 size_t k) const {
+  return ExactSearch(GetSnapshot(), query, result, k);
+}
+
+Status ShardedStore::ExactSearch(const Snapshot& snapshot, const Value* query,
+                                 SearchResult* result, size_t k,
+                                 QueryScratch* scratch) const {
+  return Search(snapshot, query, /*exact=*/true, 0, k, result, scratch);
 }
 
 Status ShardedStore::ApproxSearch(const Value* query, size_t num_leaves,
@@ -742,33 +750,8 @@ Status ShardedStore::ApproxSearch(const Snapshot& snapshot, const Value* query,
                                   size_t num_leaves, SearchResult* result,
                                   size_t k,
                                   QueryScratch* scratch) const {
-  if (snapshot.shards.size() != shards_.size()) {
-    return Status::InvalidArgument("snapshot shard count mismatch");
-  }
-  if (snapshot.num_entries() == 0) return Status::NotFound("empty store");
-  QueryScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  bool degraded = snapshot.degraded;
-  std::vector<SearchResult> per_shard(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]) {
-      degraded = true;
-      continue;
-    }
-    if (snapshot.shards[i].num_entries() == 0) continue;
-    const Status st = shards_[i]->ApproxSearch(
-        snapshot.shards[i], query, num_leaves, &per_shard[i], k, scratch);
-    if (st.code() == Status::Code::kCorruption) {
-      QuarantineShard(i, TagShard(i, st));
-      per_shard[i] = SearchResult{};
-      degraded = true;
-      continue;
-    }
-    COCONUT_RETURN_IF_ERROR(TagShard(i, st));
-  }
-  MergeShardResults(per_shard, k, result);
-  result->degraded = degraded;
-  return Status::OK();
+  return Search(snapshot, query, /*exact=*/false, num_leaves, k, result,
+                scratch);
 }
 
 }  // namespace coconut

@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -208,10 +209,20 @@ class ShardedStore {
                       size_t num_leaves, SearchResult* result, size_t k = 1,
                       QueryScratch* scratch = nullptr) const;
 
-  /// Merges per-shard k-NN answers (indexed by shard id) into one result,
-  /// retagging neighbor offsets with the shard id. Exposed for QueryEngine.
-  static void MergeShardResults(const std::vector<SearchResult>& per_shard,
-                                size_t k, SearchResult* out);
+  /// Searches shard `i` of `snapshot` (a snapshot of this store) into
+  /// `cell` (exact, or approximate over `num_leaves` leaves): the step of
+  /// every store fan-out, including QueryEngine's query x shard cells. A quarantined shard, or one whose
+  /// search fails with Corruption (which quarantines it), leaves `cell`
+  /// empty and `degraded` and returns OK; other failures name the shard.
+  Status SearchShard(const Snapshot& snapshot, size_t i, const Value* query,
+                     bool exact, size_t num_leaves, size_t k,
+                     SearchResult* cell, QueryScratch* scratch) const;
+
+  /// Merges one query's per-shard cells (indexed by shard id), retagging
+  /// offsets with the shard id; `degraded` if the snapshot or a cell is.
+  static void MergeShardResults(const Snapshot& snapshot,
+                                std::span<const SearchResult> cells, size_t k,
+                                SearchResult* out);
 
   static uint64_t EncodeOffset(size_t shard, uint64_t local_offset) {
     return (static_cast<uint64_t>(shard) << kShardOffsetBits) | local_offset;
@@ -247,7 +258,6 @@ class ShardedStore {
   uint64_t committed_epoch() const {
     return committed_epoch_.load(std::memory_order_acquire);
   }
-  const CoconutForest& shard(size_t i) const { return *shards_[i]; }
   /// The shard's raw dataset file (local offsets point into this).
   const std::string& shard_raw_path(size_t i) const { return raw_paths_[i]; }
   const StoreManifest& manifest() const { return manifest_; }
@@ -255,6 +265,10 @@ class ShardedStore {
  private:
   ShardedStore() = default;
 
+  /// ExactSearch/ApproxSearch: SearchShard over every shard, then merge.
+  Status Search(const Snapshot& snapshot, const Value* query, bool exact,
+                size_t num_leaves, size_t k, SearchResult* result,
+                QueryScratch* scratch) const;
   /// Runs `fn(shard)` for every shard concurrently on the pool (the caller
   /// executes one shard itself) and returns the first failure.
   Status ForEachShardParallel(

@@ -197,6 +197,12 @@ TEST(FaultTorture, CrashAndCorruptRounds) {
   store.reset();
 
   // ---- Phase 2: corrupt rounds -----------------------------------------
+  // Queries alternate between the direct store API and a single-query
+  // QueryEngine batch: both entry points must quarantine and degrade alike.
+  QueryEngine engine;
+  QuerySpec spec;
+  spec.mode = QuerySpec::Mode::kExact;
+  spec.k = kTopK;
   constexpr int kCorruptRounds = 6;
   for (int round = 0; round < kCorruptRounds; ++round) {
     SCOPED_TRACE("corrupt round " + std::to_string(round));
@@ -250,7 +256,13 @@ TEST(FaultTorture, CrashAndCorruptRounds) {
       const Series query = gen->NextSeries();
       const std::vector<double> oracle = AllDistances(model, query);
       SearchResult r;
-      ASSERT_OK(hurt->ExactSearch(query.data(), &r, kTopK));
+      if (q % 2 == 0) {
+        ASSERT_OK(hurt->ExactSearch(query.data(), &r, kTopK));
+      } else {
+        std::vector<SearchResult> batch;
+        ASSERT_OK(engine.ExecuteBatch(*hurt, {query}, spec, &batch));
+        r = batch[0];
+      }
       degraded_seen = degraded_seen || r.degraded;
       ASSERT_LE(r.neighbors.size(), kTopK);
       for (size_t j = 0; j < r.neighbors.size(); ++j) {
@@ -285,10 +297,6 @@ TEST(FaultTorture, CrashAndCorruptRounds) {
   // committed prefix on reopen, just like a crash fault.
   ASSERT_OK(ShardedStore::Open(root, opts, &store));
   ASSERT_EQ(store->num_entries(), model.size());
-  QueryEngine engine;
-  QuerySpec spec;
-  spec.mode = QuerySpec::Mode::kExact;
-  spec.k = kTopK;
   constexpr int kDeadlineRounds = 10;
   for (int round = 0; round < kDeadlineRounds; ++round) {
     SCOPED_TRACE("deadline round " + std::to_string(round));

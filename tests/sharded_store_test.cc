@@ -15,12 +15,14 @@
 #include <iterator>
 #include <map>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/crc32c.h"
 #include "src/common/failpoint.h"
 #include "src/core/coconut_forest.h"
+#include "src/core/tree_format.h"
 #include "src/exec/query_engine.h"
 #include "src/store/journal.h"
 #include "src/store/manifest.h"
@@ -190,6 +192,9 @@ TEST(ShardedStore, QueryEngineBatchMatchesSerialStoreSearch) {
         EXPECT_EQ(batch[i].neighbors[j].distance,
                   serial.neighbors[j].distance);
       }
+      EXPECT_EQ(batch[i].visited_records, serial.visited_records);
+      EXPECT_EQ(batch[i].leaves_read, serial.leaves_read);
+      EXPECT_EQ(batch[i].degraded, serial.degraded);
     }
   }
 }
@@ -808,8 +813,91 @@ TEST(ShardedStoreRecovery, JournalRecordByteFlipRejected) {
 }
 
 // --- Degraded-mode serving ---------------------------------------------------
+//
+// Each degraded-serving test runs through both read entry points (the direct
+// per-query store API and a QueryEngine batch) in both search modes: all
+// four must quarantine and degrade the same way.
 
-TEST(ShardedStoreDegraded, CorruptShardQuarantinesAndServesDegraded) {
+/// XORs one byte of `path` at `offset` in place.
+void FlipByteAt(const std::filesystem::path& path, std::streamoff offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekg(offset);
+  char b = 0;
+  f.read(&b, 1);
+  b = static_cast<char>(b ^ 0x01);
+  f.seekp(offset);
+  f.write(&b, 1);
+}
+
+/// Parameter: (through QueryEngine::ExecuteBatch, else the direct store
+/// API; search mode).
+class ShardedStoreDegraded
+    : public ::testing::TestWithParam<std::tuple<bool, QuerySpec::Mode>> {
+ protected:
+  bool engine() const { return std::get<0>(GetParam()); }
+  QuerySpec::Mode mode() const { return std::get<1>(GetParam()); }
+  bool exact() const { return mode() == QuerySpec::Mode::kExact; }
+
+  /// Answers `queries` (top-k) through this case's entry point.
+  void Search(const ShardedStore& store, const std::vector<Series>& queries,
+              size_t k, std::vector<SearchResult>* out) const {
+    if (engine()) {
+      QuerySpec spec;
+      spec.mode = mode();
+      spec.k = k;
+      ThreadPool pool(2);
+      ASSERT_OK(QueryEngine(&pool).ExecuteBatch(store, queries, spec, out));
+      return;
+    }
+    out->assign(queries.size(), SearchResult{});
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Value* q = queries[i].data();
+      ASSERT_OK(exact() ? store.ExactSearch(q, &(*out)[i], k)
+                        : store.ApproxSearch(q, 1, &(*out)[i], k));
+    }
+  }
+
+  /// Answers served while shard `victim` is quarantined: each is flagged
+  /// degraded and drawn from the healthy shards only. An exact answer is
+  /// the oracle top-k over `healthy`; an approximate one bounds it above.
+  void ExpectServedFromHealthy(const std::vector<SearchResult>& results,
+                               const std::vector<Series>& queries,
+                               const std::vector<Series>& healthy,
+                               size_t victim, size_t k) const {
+    ASSERT_EQ(results.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const SearchResult& r = results[i];
+      EXPECT_TRUE(r.degraded) << "query " << i;
+      const std::vector<double> oracle = OracleTopK(healthy, queries[i], k);
+      ASSERT_EQ(r.neighbors.size(), oracle.size()) << "query " << i;
+      for (size_t j = 0; j < oracle.size(); ++j) {
+        size_t shard;
+        uint64_t local;
+        ShardedStore::DecodeOffset(r.neighbors[j].offset, &shard, &local);
+        EXPECT_NE(shard, victim) << "query " << i << " rank " << j;
+        if (exact()) {
+          EXPECT_NEAR(r.neighbors[j].distance, oracle[j], 1e-4);
+        } else {
+          EXPECT_GE(r.neighbors[j].distance + 1e-4, oracle[j]);
+        }
+      }
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    , ShardedStoreDegraded,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(QuerySpec::Mode::kExact,
+                                         QuerySpec::Mode::kApprox)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "Engine" : "Direct") +
+             (std::get<1>(info.param) == QuerySpec::Mode::kExact ? "Exact"
+                                                                 : "Approx");
+    });
+
+TEST_P(ShardedStoreDegraded, CorruptShardQuarantinesAndServesDegraded) {
   ScratchDir dir;
   const std::string root = dir.File("store");
   const std::vector<Series> data = MakeSeries(400, 11000);
@@ -837,19 +925,10 @@ TEST(ShardedStoreDegraded, CorruptShardQuarantinesAndServesDegraded) {
   // floor — the shard must quarantine, not silently serve a prefix.
   const std::string raw = JoinPath(
       JoinPath(root, "shard-" + std::to_string(victim)), "raw.bin");
-  {
-    std::fstream f(raw, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekg(0, std::ios::end);
-    const std::streamoff size = f.tellg();
-    ASSERT_GT(size, 0);
-    f.seekg(size / 2);
-    char b = 0;
-    f.read(&b, 1);
-    b = static_cast<char>(b ^ 0x01);
-    f.seekp(size / 2);
-    f.write(&b, 1);
-  }
+  const auto raw_size =
+      static_cast<std::streamoff>(std::filesystem::file_size(raw));
+  ASSERT_GT(raw_size, 0);
+  ASSERT_NO_FATAL_FAILURE(FlipByteAt(raw, raw_size / 2));
 
   std::unique_ptr<ShardedStore> store;
   ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 3), &store));
@@ -867,23 +946,15 @@ TEST(ShardedStoreDegraded, CorruptShardQuarantinesAndServesDegraded) {
 
   // ...but reads continue over the healthy shards, flagged degraded and
   // exact over what they can see.
-  const ShardedStore::Snapshot snap = store->GetSnapshot();
-  EXPECT_TRUE(snap.degraded);
+  EXPECT_TRUE(store->GetSnapshot().degraded);
   EXPECT_EQ(store->num_entries(), healthy.size());
   const std::vector<Series> queries = MakeSeries(5, 11002);
-  for (const Series& q : queries) {
-    SearchResult r;
-    ASSERT_OK(store->ExactSearch(q.data(), &r, 3));
-    EXPECT_TRUE(r.degraded);
-    const std::vector<double> oracle = OracleTopK(healthy, q, 3);
-    ASSERT_EQ(r.neighbors.size(), oracle.size());
-    for (size_t j = 0; j < oracle.size(); ++j) {
-      EXPECT_NEAR(r.neighbors[j].distance, oracle[j], 1e-4);
-    }
-  }
+  std::vector<SearchResult> results;
+  ASSERT_NO_FATAL_FAILURE(Search(*store, queries, 3, &results));
+  ExpectServedFromHealthy(results, queries, healthy, victim, 3);
 }
 
-TEST(ShardedStoreDegraded, ReadTimeChecksumFailureQuarantinesShard) {
+TEST_P(ShardedStoreDegraded, ReadTimeChecksumFailureQuarantinesShard) {
   ScratchDir dir;
   const std::string root = dir.File("store");
   std::unique_ptr<ShardedStore> store;
@@ -895,38 +966,44 @@ TEST(ShardedStoreDegraded, ReadTimeChecksumFailureQuarantinesShard) {
   ASSERT_OK(store->InsertBatch(data));
   ASSERT_OK(store->Flush());  // memtables -> run files (+ .sax sidecars)
 
-  // Corrupt a run sidecar of one LIVE shard under the running store. The
-  // first exact query lazily loads it, fails its checksum, and the store
+  // Corrupt what this mode reads from one LIVE shard's run, under the
+  // running store. An exact search lazily loads the run's `.sax` sidecar
+  // and fails its checksum; an approximate search never loads the sidecar,
+  // so there every leaf page gets a flipped byte (32-byte stride past the
+  // superblock) and its leaf read fails its page CRC. Either way the store
   // quarantines that shard mid-flight instead of failing reads store-wide.
+  const char* target = exact() ? ".sax" : ".ctree";
   size_t victim = SIZE_MAX;
   for (size_t i = 0; i < store->num_shards() && victim == SIZE_MAX; ++i) {
     const std::string shard_dir = JoinPath(root, "shard-" + std::to_string(i));
     for (const auto& entry :
          std::filesystem::directory_iterator(shard_dir)) {
       if (!entry.is_regular_file()) continue;
-      if (entry.path().extension() != ".sax") continue;
-      std::fstream f(entry.path(), std::ios::in | std::ios::out |
-                                       std::ios::binary);
-      ASSERT_TRUE(f.good());
-      f.seekg(0, std::ios::end);
-      const std::streamoff size = f.tellg();
-      ASSERT_GT(size, 0);
-      f.seekg(size / 2);
-      char b = 0;
-      f.read(&b, 1);
-      b = static_cast<char>(b ^ 0x01);
-      f.seekp(size / 2);
-      f.write(&b, 1);
+      if (entry.path().extension() != target) continue;
+      const auto size = static_cast<std::streamoff>(entry.file_size());
+      if (exact()) {
+        ASSERT_NO_FATAL_FAILURE(FlipByteAt(entry.path(), size / 2));
+      } else {
+        for (auto off = static_cast<std::streamoff>(kSuperblockBytes);
+             off < size; off += 32) {
+          ASSERT_NO_FATAL_FAILURE(FlipByteAt(entry.path(), off));
+        }
+      }
       victim = i;
       break;
     }
   }
-  ASSERT_NE(victim, SIZE_MAX) << "no run sidecar found to corrupt";
+  ASSERT_NE(victim, SIZE_MAX) << "no run " << target << " file to corrupt";
+  std::vector<Series> healthy;
+  for (const Series& s : data) {
+    if (store->ShardForSeries(s) != victim) healthy.push_back(s);
+  }
 
   const std::vector<Series> queries = MakeSeries(4, 12001);
-  SearchResult r;
-  ASSERT_OK(store->ExactSearch(queries[0].data(), &r, 3));
-  EXPECT_TRUE(r.degraded);
+  const std::vector<Series> first(queries.begin(), queries.begin() + 1);
+  std::vector<SearchResult> results;
+  ASSERT_NO_FATAL_FAILURE(Search(*store, first, 3, &results));
+  ExpectServedFromHealthy(results, first, healthy, victim, 3);
   EXPECT_EQ(store->QuarantinedShards(), 1u);
   std::string detail;
   store->QuarantinedShards(&detail);
@@ -936,9 +1013,9 @@ TEST(ShardedStoreDegraded, ReadTimeChecksumFailureQuarantinesShard) {
 
   // Later snapshots carry the flag, reads keep answering, writes refuse.
   EXPECT_TRUE(store->GetSnapshot().degraded);
-  SearchResult again;
-  ASSERT_OK(store->ExactSearch(queries[1].data(), &again, 2));
-  EXPECT_TRUE(again.degraded);
+  const std::vector<Series> later(queries.begin() + 1, queries.end());
+  ASSERT_NO_FATAL_FAILURE(Search(*store, later, 2, &results));
+  ExpectServedFromHealthy(results, later, healthy, victim, 2);
   EXPECT_FALSE(store->InsertBatch(MakeSeries(5, 12002)).ok());
   EXPECT_FALSE(store->WriteHealth().ok());
 }
